@@ -17,19 +17,22 @@ from __future__ import annotations
 import heapq
 import time
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Type)
 
 import numpy as np
 
 from .. import faults
-from ..core import arrays
-from ..core.arrays import SCREEN_MARGIN as _SCREEN_MARGIN
 from ..core.placement import PlacementState
 from ..core.tenant import LOAD_EPS, Replica, Tenant
 from ..errors import ConfigurationError, FaultInjected
 from ..obs import LATENCY_BUCKETS
+
+#: Safety margin on the screened feasibility bounds (see
+#: :func:`robust_after_placement`): decisions closer than this to a
+#: cached bound fall into the ambiguous band and are settled by the
+#: exact top-``f`` sum.
+SCREEN_MARGIN = 1e-9
 
 
 class OnlinePlacementAlgorithm(ABC):
@@ -171,92 +174,23 @@ class OnlinePlacementAlgorithm(ABC):
                             load=tenant.load, servers=list(chosen))
         return chosen
 
-    #: Arrival-chunk length :meth:`consolidate` hands to
-    #: :meth:`place_batch`.  Large enough to amortize the per-chunk
-    #: core sync and screen-cache builds, small enough that a fleet
-    #: window (``repro.fleet``) holds only a few chunks resident.
+    #: Arrival-chunk length of the consolidate benchmark workload
+    #: (``perfbench/consolidate.py`` feeds its stream to
+    #: :meth:`consolidate` in calls of this many tenants and reads the
+    #: value from here).  Placement itself is strictly one tenant at a
+    #: time, so no code path in the package chunks by it.
     DEFAULT_BATCH = 256
 
-    def place_batch(self, tenants: Iterable[Tenant]
-                    ) -> List[Tuple[int, ...]]:
-        """Place a chunk of arrivals, amortizing index work across it.
-
-        Semantically this is exactly ``[self.place(t) for t in
-        tenants]`` — packings, server counts, ``feasibility.*``
-        counters, journals and WAL records are bit-identical at every
-        chunk length — but inside the window the algorithm's
-        :class:`ServerIndex` syncs its array core once up front and
-        answers probes of same-band replica loads from a quantized
-        screen cache (:meth:`ServerIndex.begin_batch`).  The window is
-        always closed, even if a placement raises.
-        """
-        batch = tenants if isinstance(tenants, list) else list(tenants)
-        if not batch:
-            return []
-        with self.batched(batch):
-            return [self.place(tenant) for tenant in batch]
-
-    @contextmanager
-    def batched(self, batch: Sequence[Tenant]) -> Iterator[None]:
-        """Open a batch window around caller-driven placements.
-
-        For callers that must interleave their own bookkeeping with
-        the placements of a chunk (e.g. a fleet shard's post-hoc
-        server-budget check and rollback), instead of handing the
-        whole chunk to :meth:`place_batch`::
-
-            with algorithm.batched(chunk):
-                for tenant in chunk:
-                    ...algorithm.place(tenant)...
-
-        Placements inside the window behave exactly as outside it —
-        the window only lets the index amortize its sync and screen
-        work across the chunk.  Always closed, even on error.
-        """
-        self._begin_batch(list(batch))
-        try:
-            yield
-        finally:
-            self._end_batch()
-
-    def _begin_batch(self, batch: List[Tenant]) -> None:
-        """Open a batch window (default: on the ``_index``, if any)."""
-        index = getattr(self, "_index", None)
-        if index is not None:
-            index.begin_batch([tenant.load for tenant in batch])
-
-    def _end_batch(self) -> None:
-        index = getattr(self, "_index", None)
-        if index is not None:
-            index.end_batch()
-
-    def consolidate(self, tenants: Iterable[Tenant],
-                    batch_size: Optional[int] = None) -> PlacementState:
+    def consolidate(self, tenants: Iterable[Tenant]) -> PlacementState:
         """Place an entire (online) sequence, tracking wall time.
 
-        Arrivals stream through :meth:`place_batch` in chunks of
-        ``batch_size`` (default :attr:`DEFAULT_BATCH`; ``<= 1`` runs
-        the plain sequential loop).  Chunking changes amortization
-        only, never decisions, and never holds more than one chunk of
-        the stream resident.  Returns the final placement for
+        Tenants are placed one at a time, in arrival order, through
+        :meth:`place`.  Returns the final placement for
         inspection/auditing.
         """
-        if batch_size is None:
-            batch_size = self.DEFAULT_BATCH
         start = time.perf_counter()
-        if batch_size <= 1:
-            for tenant in tenants:
-                self.place(tenant)
-        else:
-            batch: List[Tenant] = []
-            append = batch.append
-            for tenant in tenants:
-                append(tenant)
-                if len(batch) >= batch_size:
-                    self.place_batch(batch)
-                    batch.clear()
-            if batch:
-                self.place_batch(batch)
+        for tenant in tenants:
+            self.place(tenant)
         self.placement_seconds += time.perf_counter() - start
         return self.placement
 
@@ -458,62 +392,10 @@ class ServerIndex:
     _LAZY_PULLS = 12
     #: Below this many survivors the full sort is cheaper than pulling.
     _LAZY_CUTOFF = 4
-    #: Load-quantization denominator of the batched screen cache (a
-    #: power of two, so band edges are exact binary rationals and the
-    #: edge comparisons below are exact).
-    _BAND_DENOM = 128.0
-    #: Band caches kept per index before the map is reset.
-    _BAND_CACHE_CAP = 128
-    #: Scalar probes a :meth:`select` scan runs before it starts
-    #: consulting the band screen cache (see the method's docstring).
-    _SCAN_DEPTH_CACHE = 8
 
-    def __init__(self, placement: PlacementState, failures: int,
-                 probe_only: bool = False) -> None:
+    def __init__(self, placement: PlacementState, failures: int) -> None:
         self.placement = placement
         self.failures = failures
-        #: Load-band -> :class:`_BandScreenCache`, consulted only while
-        #: a batch is active (:meth:`begin_batch`).
-        self._band_caches: Dict[int, "_BandScreenCache"] = {}
-        self._batch_active = False
-        #: Servers whose cached verdicts (in *every* band) are stale —
-        #: one shared set, fed from the core's refresh log, patched in
-        #: bulk by :meth:`_patch_band_caches`.
-        self._screen_stale: set = set()
-        self._screen_pos = 0
-        self._screen_epoch = -1
-        if probe_only:
-            # Probe-only algorithms (Next Fit) never issue candidate
-            # queries, so an array core would only tax their scalar
-            # probes: every probed server was just mutated, so the
-            # inlined fast path of :func:`robust_after_placement` fails
-            # its staleness gates after paying for them.  The legacy
-            # engine keeps the index usable (level/avail reads) without
-            # registering a core, restoring the pre-array-core probe
-            # cost.
-            self._init_legacy(placement)
-            return
-        if arrays.enabled():
-            # Array-core engine: level/avail/eligibility (and the
-            # worst-failover and headroom vectors) live in a
-            # struct-of-arrays mirror synced through the dirty tracker.
-            # Registering it makes the same vectors serve the scalar
-            # probe path (robust_after_placement) — the index's own
-            # candidate queries keep them fresh, so probes right after
-            # a query are pure vector reads.
-            self._core: Optional[arrays.ArrayCore] = arrays.ArrayCore(
-                placement, failures, eligibility=True)
-            self._tracker = self._core._tracker
-            placement.register_array_core(self._core)
-        else:
-            self._init_legacy(placement)
-
-    def _init_legacy(self, placement: PlacementState) -> None:
-        # Legacy engine (PR 4): the index maintains its own level
-        # and availability arrays.  Preserved verbatim behind the
-        # ``REPRO_ARRAY_CORE`` off-switch as the differential
-        # reference (and used by probe-only algorithms).
-        self._core = None
         self._level = np.zeros(self._GROW, dtype=np.float64)
         self._avail = np.full(self._GROW, -np.inf, dtype=np.float64)
         #: Servers eligible for candidate queries (CUBEFIT maturity).
@@ -536,17 +418,11 @@ class ServerIndex:
 
     def track(self, server_id: int, eligible: bool = True) -> None:
         """Start indexing ``server_id`` (must exist in the placement)."""
-        if self._core is not None:
-            self._core.track(server_id, eligible)
-            return
         self._ensure(server_id)
         self._eligible[server_id] = eligible
         self.refresh([server_id])
 
     def set_eligible(self, server_id: int, eligible: bool) -> None:
-        if self._core is not None:
-            self._core.set_eligible(server_id, eligible)
-            return
         self._ensure(server_id)
         if bool(self._eligible[server_id]) == eligible:
             return
@@ -554,8 +430,6 @@ class ServerIndex:
         self.refresh([server_id])
 
     def is_eligible(self, server_id: int) -> bool:
-        if self._core is not None:
-            return self._core.is_eligible(server_id)
         return server_id < self._size and bool(self._eligible[server_id])
 
     def refresh(self, server_ids: Iterable[int]) -> None:
@@ -567,9 +441,6 @@ class ServerIndex:
         availability is recomputed the moment :meth:`set_eligible`
         promotes them.
         """
-        if self._core is not None:
-            self._core.refresh(server_ids)
-            return
         placement = self.placement
         servers = placement._servers
         wfl = placement.worst_failover_load
@@ -600,9 +471,6 @@ class ServerIndex:
         automatically by :meth:`candidates`, :meth:`level` and
         :meth:`avail`.
         """
-        if self._core is not None:
-            self._core.sync()
-            return
         dirty = self._tracker.drain()
         if not dirty:
             return
@@ -622,11 +490,7 @@ class ServerIndex:
                               - wfl(sid, failures))
 
     def _arrays(self):
-        """Post-sync ``(level, avail, size)`` views of either engine."""
-        core = self._core
-        if core is not None:
-            core.sync()
-            return core._load, core._avail, core.size
+        """Post-sync ``(level, avail, size)`` views."""
         if self._tracker._dirty:
             self.sync()
         return self._level, self._avail, self._size
@@ -691,11 +555,10 @@ class ServerIndex:
         The sync here is *eager* (same as :meth:`candidates`).  A
         deferred-refresh variant — mask over stale availabilities, full
         refresh only when the scan reaches a dirty server — was
-        prototyped for the batched pipeline and measured a net loss:
-        fullest-first scans probe exactly the servers the previous
-        placement just dirtied (they are the fullest), so ~97% of the
-        deferred refreshes happened anyway, with the per-server call
-        and generator overhead on top (see docs/performance.md).
+        prototyped and measured a net loss: fullest-first scans probe
+        exactly the servers the previous placement just dirtied (they
+        are the fullest), so ~97% of the deferred refreshes happened
+        anyway, with the per-server call and generator overhead on top.
         """
         level, avail, size = self._arrays()
         if size == 0:
@@ -743,14 +606,6 @@ class ServerIndex:
         return ids.tolist()
 
     def level(self, server_id: int) -> float:
-        core = self._core
-        if core is not None:
-            core.sync()
-            if not core.is_eligible(server_id):
-                # Ineligible servers are skipped by sync; recompute.
-                core._load[server_id] = \
-                    self.placement._servers[server_id].load
-            return float(core._load[server_id])
         self.sync()
         if server_id < self._size and not self._eligible[server_id]:
             # Ineligible servers are skipped by sync; recompute on read.
@@ -761,15 +616,6 @@ class ServerIndex:
     def avail(self, server_id: int) -> float:
         """True slack of ``server_id`` (even while ineligible — the
         internal ``-inf`` eligibility sentinel is never returned)."""
-        core = self._core
-        if core is not None:
-            core.sync()
-            if not core.is_eligible(server_id):
-                server = self.placement._servers[server_id]
-                return float(server.capacity - server.load
-                             - self.placement.worst_failover_load(
-                                 server_id, self.failures))
-            return float(core._avail[server_id])
         self.sync()
         if server_id < self._size and not self._eligible[server_id]:
             server = self.placement._servers[server_id]
@@ -777,168 +623,6 @@ class ServerIndex:
                          - self.placement.worst_failover_load(
                              server_id, self.failures))
         return float(self._avail[server_id])
-
-    # ------------------------------------------------------------------
-    # Batched admission (see OnlinePlacementAlgorithm.place_batch)
-    # ------------------------------------------------------------------
-    def begin_batch(self, loads: Iterable[float]) -> None:
-        """Open a batch window: sync the core once for the whole chunk
-        and enable the load-quantized screen caches for its probes.
-
-        ``loads`` (the chunk's replica loads) is consumed only to decide
-        whether batching is worthwhile; the per-band screen verdicts are
-        built lazily by :meth:`select` for exactly the bands the chunk's
-        probes touch, and persist across chunks until invalidated.
-        """
-        self._batch_active = True
-        core = self._core
-        if core is None or not arrays._ENABLED \
-                or self.failures <= 0 \
-                or not self.placement._slack_cache_enabled \
-                or self.placement.shadow_audit \
-                or faults.FAILPOINTS._active:
-            return
-        # One eager sync per chunk: every band cache built inside this
-        # window starts from fully fresh vectors, so its stale set only
-        # accumulates the chunk's own mutations.
-        core.sync()
-
-    def end_batch(self) -> None:
-        """Close the batch window.  The band caches are kept (their
-        epoch/stale bookkeeping keeps them sound); only the *use* of
-        them is gated on an active window, so sequential placements
-        behave exactly as before."""
-        self._batch_active = False
-
-    def _band_of(self, replica_load: float) -> int:
-        """Quantization band ``k`` with ``k/128 <= load <= (k+1)/128``.
-
-        128 is a power of two, so the band edges are exact binary
-        rationals and the correction loops below terminate after at
-        most one step; they guard the float truncation of
-        ``int(load * 128)`` landing one band off at exact edges.
-        """
-        denom = self._BAND_DENOM
-        k = int(replica_load * denom)
-        while k / denom > replica_load:
-            k -= 1
-        while (k + 1) / denom < replica_load:
-            k += 1
-        return k
-
-    def _band_cache(self, replica_load: float):
-        """Validated screen cache for ``replica_load``'s band, or None.
-
-        Returns None whenever a cached verdict could diverge from the
-        scalar probe: outside a batch window, with no array core, under
-        shadow audit / slack-cache off / global switch off, with a zero
-        failure budget, or while fault injection is active (the scalar
-        probe must fire its failpoint).
-        """
-        if not self._batch_active or self.failures <= 0 \
-                or faults.FAILPOINTS._active:
-            return None
-        core = self._core
-        if core is None or not arrays._ENABLED \
-                or not self.placement._slack_cache_enabled \
-                or self.placement.shadow_audit:
-            return None
-        if core.refresh_epoch != self._screen_epoch:
-            # Refresh-log rollover: positions are void, start over.
-            self._band_caches.clear()
-            self._screen_stale.clear()
-            self._screen_epoch = core.refresh_epoch
-            self._screen_pos = 0
-        log = core.refresh_log
-        if len(log) > self._screen_pos:
-            self._screen_stale.update(log[self._screen_pos:])
-            self._screen_pos = len(log)
-        k = self._band_of(replica_load)
-        cache = self._band_caches.get(k)
-        if cache is None or cache.cap != len(core._cap):
-            # No cache for this band yet, or the core's arrays were
-            # reallocated since the build.
-            return self._build_band_cache(k, core)
-        if len(self._screen_stale) > 512:
-            # Re-verdict the accumulated stale ids across every band in
-            # one vectorized gather each (elementwise-identical to a
-            # rebuild); below the threshold the consult path skips the
-            # stale ids individually.
-            self._patch_band_caches(core)
-        return cache
-
-    def _build_band_cache(self, k: int, core):
-        """(Re)build the screen verdicts of band ``k`` from the core.
-
-        Soundness of applying a band verdict to any load ``L`` in
-        ``[lo, hi]``: IEEE-754 add/sub/mul are correctly rounded, hence
-        monotone in each argument, so
-
-        * ``empty_after(L) = (cap - load) - L >= (cap - load) - hi``
-          and ``<= (cap - load) - lo`` — the band's pessimistic
-          (``e_hi``) and optimistic (``e_lo``) headrooms bracket the
-          scalar probe's value;
-        * ``sure_inf`` uses the *optimistic* headroom against the
-          necessary bound: if even ``e_lo`` rejects, so does the
-          scalar's ``empty_after(L)``;
-        * ``sure_feas`` uses the *pessimistic* headroom against the
-          sufficient bound with the worst bump count ``hi * failures
-          >= L * min(failures, n_bumped)``: if ``e_hi`` clears it, the
-          scalar's band test cannot trigger, so the scalar decides
-          feasible without an exact sum.
-
-        Both implications go one way only — a probe neither verdict
-        settles falls through to the scalar check unchanged.
-        """
-        denom = self._BAND_DENOM
-        lo = k / denom
-        hi = (k + 1) / denom
-        # Verdicts span the core's array *capacity* so later server
-        # opens patch into pre-allocated slots instead of forcing a
-        # whole-array rebuild; entries past ``size`` are never read.
-        head = core._cap - core._load
-        wfl = core._wfl
-        sure_inf = (head - lo) + LOAD_EPS < wfl - _SCREEN_MARGIN
-        sure_feas = (head - hi) >= \
-            (wfl + _SCREEN_MARGIN) + hi * self.failures
-        cache = _BandScreenCache(lo, hi, sure_feas, sure_inf,
-                                 len(core._cap))
-        caches = self._band_caches
-        if len(caches) >= self._BAND_CACHE_CAP:
-            caches.clear()
-        caches[k] = cache
-        return cache
-
-    def _patch_band_caches(self, core) -> None:
-        """Recompute the stale ids' verdicts in every band, in place.
-
-        Elementwise-identical to rebuilding each band: the build's
-        whole-array expressions and this gather evaluate the same
-        scalar formula per entry, and every entry *not* in the stale
-        set still mirrors the core values it was built from (any core
-        write is refresh-logged, hence lands in the set — deferred
-        lazy-sync servers excepted, which the consult path skips via
-        the live pending set until their refresh is logged too).
-        """
-        stale = self._screen_stale
-        idx = np.fromiter(stale, dtype=np.int64, count=len(stale))
-        head = core._cap[idx] - core._load[idx]
-        wfl = core._wfl[idx]
-        cap_len = len(core._cap)
-        failures = self.failures
-        caches = self._band_caches
-        for k in list(caches):
-            cache = caches[k]
-            if cache.cap != cap_len:
-                # Built against a reallocated generation; rebuilt on
-                # demand the next time its band is probed.
-                del caches[k]
-                continue
-            cache.sure_inf[idx] = \
-                (head - cache.lo) + LOAD_EPS < wfl - _SCREEN_MARGIN
-            cache.sure_feas[idx] = (head - cache.hi) >= \
-                (wfl + _SCREEN_MARGIN) + cache.hi * failures
-        stale.clear()
 
     def select(self, replica_load: float, chosen: Sequence[int], *,
                min_avail: float, max_level: Optional[float] = None,
@@ -949,92 +633,21 @@ class ServerIndex:
         probe, or None.
 
         This is the shared candidate-scan kernel of Best Fit, RFI and
-        CUBEFIT's mature-bin search: it fuses :meth:`iter_candidates`
-        with :func:`robust_after_placement` so a batch window can
-        short-circuit probes through the band screen cache.  ``accept``
-        is an optional per-candidate prefilter (CUBEFIT's tag checks)
-        applied before any feasibility work.  Decisions, probe order and
-        ``feasibility.*`` accounting are identical to the open-coded
-        loop at every call site.
-
-        Cache economics: the typical select accepts one of the very
-        first candidates (the bench workloads average under one probe
-        per select), and a scalar probe is itself a cheap vector read —
-        so consulting the cache up front would cost more than it saves.
-        The first :attr:`_SCAN_DEPTH_CACHE` probes therefore always run
-        the scalar check, and only a scan that survives past them (the
-        deep, reject-heavy tail where screen rejects cluster) validates
-        the band cache and consults it for the remainder.
+        CUBEFIT's mature-bin search: :meth:`iter_candidates` fused with
+        :func:`robust_after_placement`.  ``accept`` is an optional
+        per-candidate prefilter (CUBEFIT's tag checks) applied before
+        any feasibility work.
         """
         placement = self.placement
         failures = self.failures
-        candidates = self.iter_candidates(min_avail, max_level, exclude)
-        cache_pending = self._batch_active
-        cache = None
-        depth = 0
-        stale = pending = sure_inf = sure_feas = None
-        feas_ok = False
-        for sid in candidates:
+        for sid in self.iter_candidates(min_avail, max_level, exclude):
             if accept is not None and not accept(sid):
                 continue
-            depth += 1
-            if cache_pending and depth > self._SCAN_DEPTH_CACHE:
-                cache_pending = False
-                cache = self._band_cache(replica_load)
-                if cache is not None:
-                    # The consult must skip any server whose core
-                    # vectors are not the ones the verdicts were
-                    # computed from: servers refreshed since the
-                    # build/patch (``_screen_stale``, fed from the
-                    # refresh log — the candidate query's eager sync
-                    # ran before ``_band_cache`` took its log
-                    # position) and servers left pending by a
-                    # scalar-read probe (drained by that sync in
-                    # practice; one lookup keeps it airtight).
-                    stale = self._screen_stale
-                    pending = self._core._pending
-                    sure_inf = cache.sure_inf
-                    sure_feas = cache.sure_feas
-                    # The sufficient-bound shortcut returns without
-                    # probing the sibling servers, so it is only taken
-                    # when there are none (and no extra reserve, which
-                    # the band verdict does not model).
-                    feas_ok = not chosen and extra_reserve == 0.0
-            if cache is not None \
-                    and sid not in stale and sid not in pending:
-                if sure_inf[sid]:
-                    if obs is not None:
-                        obs.counter("feasibility.screened").inc()
-                    continue
-                if feas_ok and sure_feas[sid]:
-                    if obs is not None:
-                        obs.counter("feasibility.screened").inc()
-                    return sid
             if robust_after_placement(placement, sid, replica_load,
                                       chosen, failures, extra_reserve,
                                       future_siblings, obs=obs):
                 return sid
         return None
-
-
-class _BandScreenCache:
-    """Screen verdicts of one load-quantization band (see
-    :meth:`ServerIndex._build_band_cache`).
-
-    The verdict arrays span the core's array capacity (``cap`` pins the
-    allocation generation they were gathered from); staleness is
-    tracked index-wide in ``ServerIndex._screen_stale``, not per band.
-    """
-
-    __slots__ = ("lo", "hi", "sure_feas", "sure_inf", "cap")
-
-    def __init__(self, lo: float, hi: float, sure_feas, sure_inf,
-                 cap: int) -> None:
-        self.lo = lo
-        self.hi = hi
-        self.sure_feas = sure_feas
-        self.sure_inf = sure_inf
-        self.cap = cap
 
 
 def worst_shared_sum(placement: PlacementState, server_id: int,
@@ -1168,9 +781,7 @@ def robust_after_placement(placement: PlacementState, server_id: int,
                            failures: int,
                            extra_reserve: float = 0.0,
                            future_siblings: int = 0,
-                           obs=None,
-                           precomputed_worst: Optional[float] = None
-                           ) -> bool:
+                           obs=None) -> bool:
     """Screened feasibility check — same decisions as
     :func:`exact_robust_after_placement`, much cheaper per probe.
 
@@ -1198,75 +809,37 @@ def robust_after_placement(placement: PlacementState, server_id: int,
         # package (one hit per candidate probe), so the disabled cost
         # must stay at two attribute loads and a truth test.
         faults.FAILPOINTS.fire("algo.feasibility")
-    # Array-core fast path, fully inlined (this is the hottest read in
-    # the package, so both the accessor gates and the staleness checks
-    # are flattened into one conditional): a server untouched since the
-    # last refresh is answered straight from the vectors — for
-    # index-driven algorithms every probe follows a candidate query,
-    # whose sync just refreshed exactly these servers.  The staleness
-    # memberships come first: probe-only flows (Next Fit) never drain
-    # the tracker, so their probes must fail out after one set lookup.
-    # Capacity and load are mirrored exactly and the expression below
-    # keeps the scalar parse order, so ``empty_after`` is bit-identical
-    # to the dict path (taken for dirty, untracked or ineligible
-    # servers — it reads the same memoized values the next refresh
-    # would assign).
-    core = placement._array_cores.get(failures)
+    server = placement.server(server_id)
+    empty_after = server.capacity - server.load - replica_load \
+        - extra_reserve
+    cached = (placement.worst_failover_load(server_id, failures)
+              if failures > 0 else 0.0)
     exact_used = False
-    if core is not None \
-            and server_id not in core._tracker._dirty \
-            and server_id not in core._pending \
-            and server_id < core.size \
-            and core._eligible[server_id] \
-            and arrays._ENABLED \
-            and placement._slack_cache_enabled \
-            and not placement.shadow_audit:
-        cached = core._wfl.item(server_id)
-        empty_after = ((core._cap.item(server_id)
-                        - core._load.item(server_id)) - replica_load) \
-            - extra_reserve
-    else:
-        server = placement.server(server_id)
-        empty_after = server.capacity - server.load - replica_load \
-            - extra_reserve
-        cached = (placement.worst_failover_load(server_id, failures)
-                  if failures > 0 else 0.0)
     decision = True
     future: Optional[List[float]] = None
     if failures <= 0:
         decision = empty_after + LOAD_EPS >= 0.0
     else:
-        if empty_after + LOAD_EPS < cached - _SCREEN_MARGIN:
+        if empty_after + LOAD_EPS < cached - SCREEN_MARGIN:
             decision = False
-        elif empty_after < cached + _SCREEN_MARGIN + replica_load \
+        elif empty_after < cached + SCREEN_MARGIN + replica_load \
                 * min(failures, len(chosen) + future_siblings):
             exact_used = True
-            if precomputed_worst is not None:
-                # A vectorized ambiguous-band pass (ArrayCore
-                # .resolve_worst) already produced this server's exact
-                # bumped top-``failures`` sum, bit-identical to the
-                # worst_shared_sum call below; it still counts as an
-                # exact resolution.
-                worst = precomputed_worst
-            else:
-                bumps = {c: replica_load for c in chosen}
-                future = [replica_load] * future_siblings
-                worst = worst_shared_sum(placement, server_id, failures,
-                                         bumps, future)
+            bumps = {c: replica_load for c in chosen}
+            future = [replica_load] * future_siblings
+            worst = worst_shared_sum(placement, server_id, failures,
+                                     bumps, future)
             decision = empty_after + LOAD_EPS >= worst
     if decision and failures > 0 and chosen:
         sibling_delta = replica_load * min(failures, 1 + future_siblings)
         for c in chosen:
-            # Sibling servers were mutated moments ago (their replicas
-            # were just placed), so an array-core read would fall back
-            # to the dict path anyway — consult it directly.
             other = placement.server(c)
             headroom = other.capacity - other.load
             cached_c = placement.worst_failover_load(c, failures)
-            if headroom + LOAD_EPS < cached_c - _SCREEN_MARGIN:
+            if headroom + LOAD_EPS < cached_c - SCREEN_MARGIN:
                 decision = False
                 break
-            if headroom >= cached_c + sibling_delta + _SCREEN_MARGIN:
+            if headroom >= cached_c + sibling_delta + SCREEN_MARGIN:
                 continue
             exact_used = True
             if future is None:
@@ -1280,81 +853,6 @@ def robust_after_placement(placement: PlacementState, server_id: int,
         obs.counter("feasibility.exact" if exact_used
                     else "feasibility.screened").inc()
     return bool(decision)
-
-
-def batch_robust_after_placement(placement: PlacementState,
-                                 server_ids: Sequence[int],
-                                 replica_load: float,
-                                 chosen: Sequence[int] = (),
-                                 failures: int = 0,
-                                 extra_reserve: float = 0.0,
-                                 future_siblings: int = 0,
-                                 obs=None) -> List[bool]:
-    """Vectorized bulk form of :func:`robust_after_placement`.
-
-    Classifies every server in ``server_ids`` with one
-    :meth:`~repro.core.arrays.ArrayCore.batch_screen` pass: servers the
-    necessary bound rejects are settled without touching Python-object
-    state at all, and only screen-feasible or ambiguous servers fall
-    through to the scalar check (which itself resolves via the cached
-    bounds and drops to :func:`worst_shared_sum` in the ambiguous band).
-
-    Decisions, ``feasibility.screened`` / ``feasibility.exact``
-    accounting and ``algo.feasibility`` failpoint hits are all identical
-    to calling :func:`robust_after_placement` once per id, in order.
-    Falls back to exactly that loop when the array core is unavailable
-    (no :class:`ServerIndex` registered one for this failure budget,
-    switch off, slack cache disabled, or shadow audit).
-    """
-    ids = [int(sid) for sid in server_ids]
-    core = placement.array_core(failures)
-    if core is None:
-        return [robust_after_placement(placement, sid, replica_load,
-                                       chosen, failures, extra_reserve,
-                                       future_siblings, obs=obs)
-                for sid in ids]
-    verdict = core.batch_screen(
-        replica_load, n_bumped=len(chosen) + future_siblings,
-        extra_reserve=extra_reserve)
-    size = len(verdict)
-    eligible = core._eligible
-    infeasible = arrays.INFEASIBLE
-    ambiguous = arrays.AMBIGUOUS
-    failpoints = faults.FAILPOINTS
-    # Resolve every ambiguous-band server's exact bumped top-f sum in
-    # one vectorized pass (ArrayCore.resolve_worst is bit-identical to
-    # the per-server worst_shared_sum the scalar check would run) —
-    # worthwhile once a handful of servers land in the band.
-    resolved: Dict[int, float] = {}
-    if not failpoints._active:
-        chosen_set = set(chosen)
-        amb_ids = [sid for sid in dict.fromkeys(ids)
-                   if 0 <= sid < size and eligible[sid]
-                   and verdict[sid] == ambiguous
-                   and sid not in chosen_set]
-        if len(amb_ids) >= 4:
-            worsts = core.resolve_worst(amb_ids, replica_load,
-                                        chosen, future_siblings)
-            resolved = dict(zip(amb_ids, (float(w) for w in worsts)))
-    decisions: List[bool] = []
-    screen_rejects = 0
-    for sid in ids:
-        if 0 <= sid < size and eligible[sid] \
-                and verdict[sid] == infeasible:
-            # The scalar path would fire the probe failpoint, reject on
-            # the necessary bound and count one screened decision.
-            if failpoints._active:
-                failpoints.fire("algo.feasibility")
-            screen_rejects += 1
-            decisions.append(False)
-        else:
-            decisions.append(robust_after_placement(
-                placement, sid, replica_load, chosen, failures,
-                extra_reserve, future_siblings, obs=obs,
-                precomputed_worst=resolved.get(sid)))
-    if obs is not None and screen_rejects:
-        obs.counter("feasibility.screened").inc(screen_rejects)
-    return decisions
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,6 @@ class MixedGammaFirstFit(_CheckedBaseline):
 
     name = "mixed-firstfit"
 
-    # Same engine choice as RobustFirstFit: id-ordered scans never
-    # amortize the array core's sync cost.
-    _probe_only = True
-
     def __init__(self, plan: Mapping[int, int], gamma: int = 2,
                  failures: Optional[int] = None,
                  capacity: float = 1.0) -> None:

@@ -31,11 +31,6 @@ class _CheckedBaseline(OnlinePlacementAlgorithm):
     """Shared scaffolding: place replicas one by one with a robustness
     check; open a new server when no feasible candidate exists."""
 
-    #: Subclasses that never run fullest-first candidate queries (and so
-    #: never amortize an array core's sync cost) set this to keep the
-    #: index on the legacy scalar engine — see ``ServerIndex``.
-    _probe_only = False
-
     def __init__(self, gamma: int = 2, failures: Optional[int] = None,
                  capacity: float = 1.0) -> None:
         super().__init__(gamma=gamma, capacity=capacity)
@@ -45,8 +40,7 @@ class _CheckedBaseline(OnlinePlacementAlgorithm):
             raise ConfigurationError(
                 f"failures must be non-negative, got {failures}")
         self.failures = failures
-        self._index = ServerIndex(self.placement, failures=failures,
-                                  probe_only=self._probe_only)
+        self._index = ServerIndex(self.placement, failures=failures)
 
     @property
     def guaranteed_failures(self) -> int:
@@ -86,8 +80,7 @@ class _CheckedBaseline(OnlinePlacementAlgorithm):
         # The only internal state is the candidate index, which is a
         # pure function of the placement: rebuild it over the adopted
         # state with every existing server eligible.
-        self._index = ServerIndex(placement, failures=self.failures,
-                                  probe_only=self._probe_only)
+        self._index = ServerIndex(placement, failures=self.failures)
         for sid in placement.server_ids:
             self._index.track(sid)
 
@@ -121,12 +114,6 @@ class RobustFirstFit(_CheckedBaseline):
 
     name = "firstfit"
 
-    # First Fit's scans are id-ordered, not fullest-first: its
-    # candidates_by_id query skips the ordering work the array core
-    # amortizes, so the core only taxed it (0.93x in the PR 6 bench) —
-    # keep the legacy engine.
-    _probe_only = True
-
     def _select(self, replica: Replica,
                 chosen: List[int]) -> Optional[int]:
         candidates = self._index.candidates_by_id(min_avail=replica.load,
@@ -148,11 +135,6 @@ class RobustNextFit(_CheckedBaseline):
     """
 
     name = "nextfit"
-
-    # Next Fit never issues a candidate query at all — it probes its
-    # recency window directly — so the array core's scalar-read path was
-    # pure overhead (0.96x in the PR 6 bench): keep the legacy engine.
-    _probe_only = True
 
     def __init__(self, gamma: int = 2, failures: Optional[int] = None,
                  capacity: float = 1.0, window: Optional[int] = None) -> None:

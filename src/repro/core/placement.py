@@ -46,7 +46,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
     Set, Tuple
 
 from ..errors import ConfigurationError, PlacementError, ShadowAuditError
-from . import arrays as _arrays
 from .server import Server, UNIT_CAPACITY
 from .tenant import LOAD_EPS, Replica, Tenant
 
@@ -159,9 +158,6 @@ class PlacementState:
         #: memoization regression counter; probes between mutations of
         #: a server must not grow it).
         self.top_partner_recomputes = 0
-        #: failure budget -> shared struct-of-arrays mirror
-        self._array_cores: Dict[int, "_arrays.ArrayCore"] = {}
-        #: Bumped by every load-*decreasing* mutation (:meth:`unplace`).
         #: live consumer handles fed by every mutation
         self._trackers: List[DirtyTracker] = []
         self.shadow_audit = _shadow_audit_default() \
@@ -202,49 +198,11 @@ class PlacementState:
 
         Disabling restores the naive recompute-every-time behaviour
         (the benchmark baseline), so it also drops the top-partner memo.
-        Registered array cores are *not* closed — a live
-        :class:`~repro.algorithms.base.ServerIndex` owns them and they
-        stay correct either way (refreshes assign from
-        :meth:`worst_failover_load`, which now recomputes) — but
-        :meth:`array_core` stops handing them to the probe paths, so
-        naive-mode feasibility checks pay the full naive cost.
         """
         self._slack_cache_enabled = enabled
         if not enabled:
             self._wfl_cache.clear()
             self._top_cache.clear()
-
-    def register_array_core(self, core: "_arrays.ArrayCore") -> None:
-        """Publish ``core`` as this placement's mirror for its failure
-        budget.
-
-        Called by :class:`~repro.algorithms.base.ServerIndex` so the
-        scalar probe path (:func:`~repro.algorithms.base
-        .robust_after_placement`) reads the *same* vectors the index
-        maintains — one set of arrays, synced by the index's own
-        candidate queries, instead of duplicate bookkeeping per
-        consumer.  A later registration for the same budget displaces
-        the earlier one (index rebuilds on adoption).
-        """
-        self._array_cores[core.failures] = core
-
-    def array_core(self, failures: int) -> Optional["_arrays.ArrayCore"]:
-        """The registered struct-of-arrays mirror for one failure
-        budget, or ``None``.
-
-        ``None`` when no :class:`~repro.algorithms.base.ServerIndex`
-        has registered a core for this budget, or when the array layer
-        is gated off: the ``REPRO_ARRAY_CORE`` switch is off, the slack
-        cache is disabled (naive mode must pay the naive recompute on
-        every probe), or shadow auditing is on (every read must flow
-        through the audited scalar path).
-        """
-        core = self._array_cores.get(failures)
-        if core is None or self.shadow_audit \
-                or not self._slack_cache_enabled \
-                or not _arrays.enabled():
-            return None
-        return core
 
     @property
     def slack_cache_enabled(self) -> bool:

@@ -120,11 +120,6 @@ CATALOG: Dict[str, str] = {
     "cluster.route.dead": (
         "ReplicaRouter read dispatch — route a read to a failed home "
         "instead of a live one (surfaces as SimulationError)"),
-    "array_core.desync": (
-        "ArrayCore refresh — corrupt a worst-failover value as it is "
-        "written into the struct-of-arrays mirror (a stale vector "
-        "read; the default float mutator inflates, keeping the "
-        "screen conservative)"),
     "serve.accept": (
         "PlacementServer accept loop, after a connection is accepted "
         "but before a session starts — the connection is dropped, the "

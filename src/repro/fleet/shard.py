@@ -131,26 +131,20 @@ class ShardController:
 
     def place_batch(self, tenants: Sequence[Tenant]
                     ) -> List[Tuple[Tenant, Optional[Tuple[int, ...]]]]:
-        """Admit a chunk of tenants in one index batch window.
+        """Admit a chunk of tenants, one :meth:`place` call each.
 
-        Per-tenant semantics are exactly those of :meth:`place` —
-        including the post-hoc budget rollback — but the whole chunk
-        runs inside the algorithm's
-        :meth:`~repro.algorithms.base.OnlinePlacementAlgorithm.batched`
-        window, so the placement index syncs once and screens the
-        chunk's same-band probes from its amortized cache.  Returns
+        Per-tenant semantics are exactly those of :meth:`place`,
+        including the post-hoc budget rollback.  Returns
         ``(tenant, servers)`` pairs in admission order; a budget
         refusal yields ``(tenant, None)`` instead of raising, so one
         refusal does not abort the rest of the chunk.
         """
-        tenants = list(tenants)
         outcomes: List[Tuple[Tenant, Optional[Tuple[int, ...]]]] = []
-        with self.algorithm.batched(tenants):
-            for tenant in tenants:
-                try:
-                    outcomes.append((tenant, self.place(tenant)))
-                except ShardSaturatedError:
-                    outcomes.append((tenant, None))
+        for tenant in tenants:
+            try:
+                outcomes.append((tenant, self.place(tenant)))
+            except ShardSaturatedError:
+                outcomes.append((tenant, None))
         return outcomes
 
     def remove(self, tenant_id: int) -> None:

@@ -18,8 +18,6 @@ exact top-``f`` evaluations, and the recorded ratio is the proof.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -52,8 +50,8 @@ FACTORIES: Dict[str, Callable[[], OnlinePlacementAlgorithm]] = {
 
 #: Tenant counts timed by default: the historical 2k scenario, a 10k
 #: scenario that stresses the screened fast path at fleet scale, and a
-#: 100k scenario where the array core's batch screening and candidate
-#: vectors carry tens of thousands of servers per query.
+#: 100k scenario where the candidate index's vectorized queries carry
+#: tens of thousands of servers per query.
 DEFAULT_SCALES: Sequence[int] = (2000, 10000, 100000)
 DEFAULT_ROUNDS = 3
 BENCH_SEED = 0
@@ -149,8 +147,8 @@ def fleet_scenario(n_tenants: int, shards: int,
     (:func:`~repro.workloads.sequences.stream_tenants`), routed
     ``window`` tenants at a time through a deterministic
     :class:`~repro.fleet.router.PlacementRouter`, and each window's
-    per-shard groups are admitted through ``place_batch`` on the
-    shard's own ``RobustBestFit`` — in memory, like every other bench
+    per-shard groups are placed tenant by tenant on the shard's own
+    ``RobustBestFit`` — in memory, like every other bench
     scenario (the durable fleet with WAL + crash drills is
     :func:`repro.fleet.soak.run_fleet_soak`), and never with more
     than one window of the stream resident.  Two rates come out:
@@ -163,8 +161,7 @@ def fleet_scenario(n_tenants: int, shards: int,
       the "sharding beats one big controller" claim is about).
 
     ``servers`` and ``utilization`` are deterministic, like every
-    other scenario: routing depends only on admission order, and
-    batched admission is bit-identical to sequential placement.
+    other scenario: routing depends only on admission order.
     """
     if rounds < 1:
         raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
@@ -187,8 +184,10 @@ def fleet_scenario(n_tenants: int, shards: int,
         for groups in router.stream(stream):
             for shard in sorted(groups):
                 members = groups[shard]
+                place = round_algos[shard].place
                 start = time.perf_counter()
-                round_algos[shard].place_batch(members)
+                for tenant in members:
+                    place(tenant)
                 shard_seconds[shard] += time.perf_counter() - start
                 shard_counts[shard] += len(members)
         wall = sum(shard_seconds)
@@ -290,56 +289,6 @@ def run_bench(scales: Sequence[int] = DEFAULT_SCALES,
     if fleet:
         payload["fleet"] = fleet
     return payload
-
-
-def packing_fingerprint(placement) -> str:
-    """sha256 over the canonical sorted ``tenant -> servers`` mapping."""
-    canon = json.dumps(
-        sorted((tid, sorted(placement.tenant_servers(tid).items()))
-               for tid in placement.tenant_ids))
-    return hashlib.sha256(canon.encode("ascii")).hexdigest()
-
-
-def batch_identity_check(n_tenants: int = 2000,
-                         names: Optional[Sequence[str]] = None,
-                         batch_sizes: Sequence[int] = (1, 64, 0)
-                         ) -> List[str]:
-    """Assert batched consolidation equals the sequential loop.
-
-    Consolidates the bench workload once per ``batch_size`` (``0``
-    means the algorithm's :attr:`~repro.algorithms.base.
-    OnlinePlacementAlgorithm.DEFAULT_BATCH`) and compares packing
-    fingerprints and server counts against the sequential run
-    (``batch_size=1``).  Returns a list of divergences (empty =
-    bit-identical) — the CI smoke's guard on the batched admission
-    pipeline.
-    """
-    chosen = sorted(names) if names else sorted(FACTORIES)
-    unknown = set(chosen) - set(FACTORIES)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown bench scenarios: {sorted(unknown)}")
-    sequence = bench_sequence(n_tenants)
-    tenants = list(sequence)
-    problems: List[str] = []
-    for name in chosen:
-        results = {}
-        for batch_size in batch_sizes:
-            algo = FACTORIES[name]()
-            algo.consolidate(tenants,
-                             batch_size=batch_size or None)
-            results[batch_size] = (
-                packing_fingerprint(algo.placement),
-                algo.placement.num_servers)
-        base_fp, base_servers = results[batch_sizes[0]]
-        for batch_size, (fp, servers) in results.items():
-            if (fp, servers) != (base_fp, base_servers):
-                problems.append(
-                    f"{name}: batch_size={batch_size or 'default'} "
-                    f"packing ({servers} servers, {fp[:16]}...) "
-                    f"diverges from sequential ({base_servers} "
-                    f"servers, {base_fp[:16]}...)")
-    return problems
 
 
 def check_against_baseline(payload: Dict, baseline: Dict,

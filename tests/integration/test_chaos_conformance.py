@@ -147,55 +147,6 @@ class TestClusterSeams:
         _record_fired(faults.FAILPOINTS.fired_counts())
 
 
-class TestArrayCoreSeam:
-    """``array_core.desync`` — a stale struct-of-arrays read.
-
-    The seam sits where a worst-failover value is written into the
-    array mirror, so it is only reachable with the array core enabled;
-    the tests force the switch on so the exercise also covers the
-    ``REPRO_ARRAY_CORE=0`` differential CI run.
-    """
-
-    def _run_workload(self, gamma=2, tenants=40, seed=13):
-        from random import Random
-        from repro.core.tenant import Tenant
-        rng = Random(seed)
-        algo = RobustBestFit(gamma=gamma)
-        for tid in range(tenants):
-            algo.place(Tenant(tid, round(rng.uniform(0.05, 0.3), 3)))
-        return algo
-
-    def test_desync_corruption_is_audit_clean(self):
-        """The default float mutator inflates the mirrored value, so a
-        desynced core only ever *refuses* placements — the packing that
-        comes out may be sparser but must still be robust."""
-        from repro.core import arrays
-        from repro.core.validation import audit
-        with arrays.overridden(True):
-            with faults.injected("array_core.desync", action="corrupt"):
-                chaotic = self._run_workload()
-            healthy = self._run_workload()
-        assert faults.FAILPOINTS.fired_counts().get(
-            "array_core.desync", 0) > 0
-        audit(chaotic.placement).raise_if_violated()
-        # Conservative, never admissive: at least as many servers open.
-        assert chaotic.placement.num_servers >= \
-            healthy.placement.num_servers
-        _record_fired(faults.FAILPOINTS.fired_counts())
-
-    def test_desync_raise_is_typed(self):
-        from repro.core import arrays
-        from repro.core.tenant import Tenant
-        with arrays.overridden(True):
-            with faults.injected("array_core.desync", action="raise"):
-                algo = RobustBestFit(gamma=2)
-                with pytest.raises(FaultInjected) as exc:
-                    for tid in range(5):
-                        algo.place(Tenant(tid, 0.2))
-        assert exc.value.failpoint == "array_core.desync"
-        _record_fired(faults.FAILPOINTS.fired_counts())
-
-
 class TestServeSeams:
     """``serve.*`` — the placement daemon's failpoints, drilled against
     a live in-process server (crash mode ``abort`` so a simulated

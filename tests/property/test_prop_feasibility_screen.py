@@ -14,7 +14,8 @@ and pin the observability contract (``feasibility.screened`` /
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.base import (exact_robust_after_placement,
+from repro.algorithms.base import (SCREEN_MARGIN,
+                                   exact_robust_after_placement,
                                    robust_after_placement)
 from repro.core.placement import PlacementState
 from repro.core.tenant import Tenant
@@ -114,14 +115,17 @@ def test_screened_matches_exact_on_random_probes(gamma, data):
 @settings(max_examples=30, deadline=None)
 def test_screen_near_boundary_loads(gamma, data):
     """Stress the ambiguous band: loads sized so post-placement headroom
-    lands close to the cached worst-failover bound."""
+    lands close to the cached worst-failover bound, including nudges
+    onto the ``SCREEN_MARGIN`` guard-band edges, where one ULP of
+    drift would flip a screened decision."""
     ps = _random_placement(data, gamma)
     registry = MetricsRegistry()
     for sid in ps.server_ids:
         server = ps.server(sid)
         cached = ps.worst_failover_load(sid, gamma - 1)
         headroom = server.capacity - server.load - cached
-        for nudge in (-1e-12, 0.0, 1e-12, 1e-6, -1e-6):
+        for nudge in (-1e-6, -1e-12, -SCREEN_MARGIN, 0.0,
+                      SCREEN_MARGIN, 1e-12, 1e-6):
             replica_load = headroom + nudge
             if replica_load <= 0.0:
                 continue

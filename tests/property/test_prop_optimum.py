@@ -4,8 +4,7 @@ Three layers of trust, each checked against the one below:
 
 * ``brute_force_optimum`` — independent exhaustive enumeration —
   must agree exactly with ``branch_and_bound_optimum`` on tiny
-  instances, under *both* placement engines (``REPRO_ARRAY_CORE``
-  flips the seed incumbent's index engine; the optimum must not care).
+  instances.
 * The oracle's packings must pass the float robustness audits — both
   the worst-case ``audit`` and the exhaustive ``brute_force_audit`` —
   proving the exact rational model and the float audit accept the same
@@ -28,7 +27,6 @@ from repro.analysis.optimum import (SearchBudget, assignment_to_placement,
                                     branch_and_bound_optimum,
                                     brute_force_optimum,
                                     certified_lower_bound)
-from repro.core import arrays
 from repro.core.tenant import Tenant
 from repro.core.validation import audit, brute_force_audit
 
@@ -56,10 +54,8 @@ def _tiny_instance(data):
 @given(data=st.data())
 def test_brute_force_matches_branch_and_bound(data):
     loads, gamma = _tiny_instance(data)
-    engine = data.draw(st.booleans(), label="array_core")
-    with arrays.overridden(engine):
-        brute = brute_force_optimum(loads, gamma)
-        bnb = branch_and_bound_optimum(loads, gamma)
+    brute = brute_force_optimum(loads, gamma)
+    bnb = branch_and_bound_optimum(loads, gamma)
     assert brute.certified and bnb.certified
     assert brute.upper_bound == bnb.upper_bound, (
         f"brute force found {brute.upper_bound} servers, "

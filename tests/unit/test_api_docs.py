@@ -23,6 +23,11 @@ class TestGenerator:
         assert committed == gen_api_docs.generate(), (
             "docs/api.md is stale; run `python tools/gen_api_docs.py`")
 
+    def test_reference_is_checkout_independent(self):
+        """Nothing in the reference may depend on where the repository
+        is checked out (e.g. a module export rendered via its repr)."""
+        assert str(ROOT) not in gen_api_docs.generate()
+
     def test_reference_covers_key_symbols(self):
         text = (ROOT / "docs" / "api.md").read_text()
         for symbol in ("CubeFit", "RFI", "PlacementState", "audit",

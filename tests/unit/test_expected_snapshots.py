@@ -13,8 +13,8 @@ snippet in this file's docstring)::
 
 The golden packings pin the exact replica-to-server assignment CUBEFIT
 and RFI produce for the benchmark's 2k-tenant sequence: any change to
-candidate ordering, feasibility screening or the array core that moves
-even one replica changes the per-server tenant-set hash.  Regenerate
+candidate ordering, candidate indexing or feasibility screening that
+moves even one replica changes the per-server tenant-set hash.  Regenerate
 ``benchmarks/expected/packings_2k.json`` consciously via::
 
     PYTHONPATH=src python - <<'EOF'

@@ -241,7 +241,7 @@ class TestCatalog:
             assert description
             prefix = name.split(".")[0]
             assert prefix in ("algo", "store", "par", "cluster",
-                              "array_core", "serve", "fleet")
+                              "serve", "fleet")
 
     def test_obs_counters_mirror_firings(self):
         from repro.obs import MetricsRegistry

@@ -24,7 +24,6 @@ MODULES = [
     "repro.core.tenant",
     "repro.core.server",
     "repro.core.placement",
-    "repro.core.arrays",
     "repro.core.classes",
     "repro.core.cube",
     "repro.core.multireplica",
@@ -155,6 +154,13 @@ def document_module(module_name: str) -> list:
             lines.append("")
         elif inspect.isfunction(obj):
             lines.append(f"### `{name}{signature_of(obj)}`")
+            doc = first_line(obj)
+            if doc:
+                lines.append(f"\n{doc}\n")
+        elif inspect.ismodule(obj):
+            # A module's repr embeds its file path, which differs per
+            # checkout; name it and quote its summary instead.
+            lines.append(f"### module `{name}`")
             doc = first_line(obj)
             if doc:
                 lines.append(f"\n{doc}\n")

@@ -1,17 +1,16 @@
 #!/usr/bin/env python
 """Profile the admission hot path, phase by phase.
 
-Runs one batched consolidation of the bench workload under cProfile
-and buckets every function's *self* time into the pipeline's four
-phases:
+Runs one consolidation of the bench workload under cProfile and
+buckets every function's *self* time into the pipeline's four phases:
 
-* ``sync``        — array-core refresh/sync + dirty-tracker feeds
-  (mirroring placement mutations into the struct-of-arrays core);
-* ``screen``      — candidate iteration, vectorized batch screening,
-  and the quantized band-screen cache (build/patch/consult);
-* ``exact``       — exact top-``f`` shared-load evaluations: scalar
-  ``worst_shared_sum``, the CSR ``resolve_worst`` kernel, and the
-  ``robust_after_placement`` drivers;
+* ``sync``        — candidate-index refresh/sync (re-deriving level
+  and robust availability for the servers the dirty tracker reports);
+* ``screen``      — candidate queries and iteration, and the
+  fullest-first selection scan;
+* ``exact``       — the screened feasibility probe
+  (``robust_after_placement``) and the exact top-``f`` shared-load
+  evaluations it falls through to (``worst_shared_sum``);
 * ``bookkeeping`` — placement mutation itself (``place``, server
   add, shared-load index updates, cache invalidation).
 
@@ -23,7 +22,7 @@ Usage::
 
     PYTHONPATH=src python tools/profile_hot_path.py
     PYTHONPATH=src python tools/profile_hot_path.py \
-        --name cubefit --tenants 20000 --batch-size 1   # sequential
+        --name cubefit --tenants 20000
     PYTHONPATH=src python tools/profile_hot_path.py --top 15
 """
 
@@ -42,33 +41,19 @@ from repro.sim.bench import FACTORIES, bench_sequence  # noqa: E402
 #: matters: the first phase whose pattern matches claims the function.
 PHASE_PATTERNS = (
     ("sync", (
-        ("arrays.py", "sync"),
-        ("arrays.py", "refresh"),
-        ("arrays.py", "track"),
-        ("arrays.py", "set_eligible"),
         ("base.py", "refresh"),
         ("base.py", "sync"),
-        ("base.py", "begin_batch"),
-        ("base.py", "end_batch"),
     )),
     ("screen", (
-        ("arrays.py", "batch_screen"),
-        ("arrays.py", "candidates"),
         ("base.py", "iter_candidates"),
         ("base.py", "candidates"),
         ("base.py", "candidates_by_id"),
         ("base.py", "_survivors"),
         ("base.py", "select"),
-        ("base.py", "_band_cache"),
-        ("base.py", "_band_of"),
-        ("base.py", "_build_band_cache"),
-        ("base.py", "_patch_band_caches"),
     )),
     ("exact", (
-        ("arrays.py", "resolve_worst"),
         ("base.py", "worst_shared_sum"),
         ("base.py", "robust_after_placement"),
-        ("base.py", "batch_robust_after_placement"),
         ("base.py", "_feasible"),
     )),
     ("bookkeeping", (
@@ -101,10 +86,6 @@ def main(argv=None):
                         help="scenario to profile (default bestfit)")
     parser.add_argument("--tenants", type=int, default=10000,
                         help="sequence length (default 10000)")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="consolidation chunk length (default: "
-                             "the algorithm's DEFAULT_BATCH; 1 = "
-                             "sequential admission)")
     parser.add_argument("--top", type=int, default=8,
                         help="functions listed per phase (default 8)")
     args = parser.parse_args(argv)
@@ -115,7 +96,7 @@ def main(argv=None):
 
     profiler = cProfile.Profile()
     profiler.enable()
-    algo.consolidate(tenants, batch_size=args.batch_size)
+    algo.consolidate(tenants)
     profiler.disable()
 
     stats = pstats.Stats(profiler)
@@ -128,10 +109,8 @@ def main(argv=None):
         phases[classify(filename, funcname)].append(
             (tottime, calls, funcname, Path(filename).name))
 
-    batch = (args.batch_size if args.batch_size is not None
-             else algo.DEFAULT_BATCH)
     print(f"hot-path profile: {args.name}, {args.tenants} tenants, "
-          f"batch_size={batch}, {algo.placement.num_servers} servers")
+          f"{algo.placement.num_servers} servers")
     print(f"{'phase':<12} {'self s':>9} {'share':>7}")
     print("-" * 30)
     order = [phase for phase, _ in PHASE_PATTERNS] + ["other"]

@@ -43,7 +43,6 @@ sys.path.insert(0, str(_ROOT / "src"))
 
 from repro.sim.bench import (DEFAULT_FLEET_SCALES,  # noqa: E402
                              DEFAULT_ROUNDS, DEFAULT_SCALES,
-                             batch_identity_check,
                              check_against_baseline, run_bench)
 
 QUICK_SCALES = (2000,)
@@ -114,17 +113,12 @@ def main(argv=None):
         baseline = json.loads(args.baseline.read_text())
         problems = check_against_baseline(payload, baseline,
                                           slowdown_tolerance=args.tolerance)
-        # The batched admission pipeline must be invisible: packing
-        # fingerprints at every chunk length equal the sequential loop.
-        problems += batch_identity_check(
-            n_tenants=min(min(scales), 10000), names=names)
         if problems:
             for problem in problems:
                 print(f"BASELINE CHECK FAILED: {problem}",
                       file=sys.stderr)
             return 1
-        print(f"baseline check passed against {args.baseline} "
-              f"(batch==sequential fingerprints agree)")
+        print(f"baseline check passed against {args.baseline}")
         return 0
 
     args.output.write_text(json.dumps(payload, indent=1) + "\n")
