@@ -4,9 +4,8 @@ The paper claims CUBEFIT "produces near-optimal tenant allocation when
 the number of tenants is large" and proves a worst-case ratio below
 1.64 (Theorem 2).  This bench measures the actual gap two ways:
 
-* on **small** instances, against the exact branch-and-bound optimum
-  (`repro.algorithms.offline.optimal_servers`, cross-checked against
-  the certified exact-rational oracle in `repro.analysis.optimum`);
+* on **small** instances, against the certified exact optimum
+  (`repro.analysis.optimum.branch_and_bound_optimum`);
 * on **large** instances, against the weight-based lower bound on OPT
   (Theorem 2 statement II), where exhaustive search is impossible —
   plus the certified `[LB, UB]` interval the budgeted oracle still
@@ -17,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.lower_bound import best_lower_bound
-from repro.algorithms.offline import (OfflineFirstFitDecreasing,
-                                      optimal_servers)
+from repro.algorithms.offline import OfflineFirstFitDecreasing
 from repro.analysis.optimum import SearchBudget, branch_and_bound_optimum
 from repro.core.cubefit import CubeFit
 from repro.core.tenant import make_tenants
@@ -36,14 +34,18 @@ def test_exact_optimum_small_instances(benchmark):
     instances = small_instances()
 
     def run():
-        return [optimal_servers(loads, gamma=2) for loads in instances]
+        return [branch_and_bound_optimum(loads, 2)
+                for loads in instances]
 
-    optima = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert all(result.certified for result in results)
+    assert [r.optimum() for r in results] == [7, 9, 6, 10, 8, 7]
     ratios = []
-    for loads, opt in zip(instances, optima):
+    for loads, result in zip(instances, results):
         algo = CubeFit(gamma=2, num_classes=5)
         algo.consolidate(make_tenants(loads))
-        ratios.append(algo.placement.num_servers / opt)
+        ratios.append(algo.placement.num_servers / result.optimum())
+    benchmark.extra_info["nodes"] = [r.nodes for r in results]
     benchmark.extra_info["mean_ratio_vs_opt"] = round(
         sum(ratios) / len(ratios), 3)
     # At 8 tenants the cube structure is mostly unfilled, so the gap is
@@ -58,7 +60,7 @@ def test_offline_ffd_close_to_optimum(benchmark):
     def run():
         gaps = []
         for loads in instances:
-            opt = optimal_servers(loads, gamma=2)
+            opt = branch_and_bound_optimum(loads, 2).optimum()
             ffd = OfflineFirstFitDecreasing(gamma=2)
             ffd.consolidate(make_tenants(loads))
             gaps.append(ffd.placement.num_servers - opt)
@@ -67,22 +69,6 @@ def test_offline_ffd_close_to_optimum(benchmark):
     gaps = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["ffd_extra_servers"] = gaps
     assert max(gaps) <= 2
-
-
-def test_certified_oracle_agrees_with_float_search(benchmark):
-    """The exact-rational oracle certifies what the float search found
-    — and reports how much of its budget the certification costs."""
-    instances = small_instances()
-
-    def run():
-        return [branch_and_bound_optimum(loads, 2)
-                for loads in instances]
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    for loads, result in zip(instances, results):
-        assert result.certified
-        assert result.optimum() == optimal_servers(loads, gamma=2)
-    benchmark.extra_info["nodes"] = [r.nodes for r in results]
 
 
 def test_budgeted_oracle_interval_at_scale(benchmark):

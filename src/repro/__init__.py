@@ -36,7 +36,7 @@ from .algorithms.rfi import RFI
 from .algorithms.naive import RobustBestFit, RobustFirstFit, RobustNextFit
 from .algorithms.lower_bound import (capacity_lower_bound,
                                      weight_lower_bound, best_lower_bound)
-from .algorithms.offline import OfflineFirstFitDecreasing, optimal_servers
+from .algorithms.offline import OfflineFirstFitDecreasing
 from .core.recovery import RecoveryPlanner, RecoveryPlan
 from .errors import (ReproError, ConfigurationError, PlacementError,
                      CapacityError, RobustnessViolation, SimulationError,
@@ -54,9 +54,9 @@ __all__ = [
     "OnlinePlacementAlgorithm", "make_algorithm", "available_algorithms",
     # validation
     "audit", "brute_force_audit", "exact_failure_audit", "AuditReport",
-    # bounds and offline solvers
+    # bounds and the offline heuristic
     "capacity_lower_bound", "weight_lower_bound", "best_lower_bound",
-    "OfflineFirstFitDecreasing", "optimal_servers",
+    "OfflineFirstFitDecreasing",
     # recovery
     "RecoveryPlanner", "RecoveryPlan",
     # errors

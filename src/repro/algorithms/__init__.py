@@ -8,7 +8,7 @@ from .rfi import RFI, DEFAULT_MU
 from .naive import RobustBestFit, RobustFirstFit, RobustNextFit
 from .lower_bound import (capacity_lower_bound, weight_lower_bound,
                           best_lower_bound)
-from .offline import OfflineFirstFitDecreasing, optimal_servers
+from .offline import OfflineFirstFitDecreasing
 from .repack import Repacker, RepackPlan, TenantMigration
 from .mixed import MixedGammaFirstFit
 
@@ -26,6 +26,6 @@ __all__ = [
     "worst_shared_sum", "RFI", "DEFAULT_MU", "RobustBestFit",
     "RobustFirstFit", "RobustNextFit", "capacity_lower_bound",
     "weight_lower_bound", "best_lower_bound",
-    "OfflineFirstFitDecreasing", "optimal_servers",
+    "OfflineFirstFitDecreasing",
     "Repacker", "RepackPlan", "TenantMigration", "MixedGammaFirstFit",
 ]

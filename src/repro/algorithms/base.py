@@ -429,9 +429,6 @@ class ServerIndex:
         self._eligible[server_id] = eligible
         self.refresh([server_id])
 
-    def is_eligible(self, server_id: int) -> bool:
-        return server_id < self._size and bool(self._eligible[server_id])
-
     def refresh(self, server_ids: Iterable[int]) -> None:
         """Recompute level/availability for the given servers.
 

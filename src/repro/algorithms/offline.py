@@ -1,132 +1,24 @@
-"""Offline solvers for the robust tenant placement problem.
+"""Offline heuristic for the robust tenant placement problem.
 
-The online algorithms never see the whole input; these offline solvers
-do, and serve two purposes:
+The online algorithms never see the whole input;
+:class:`OfflineFirstFitDecreasing` does — the classic offline heuristic
+(sort by load descending, then robust First Fit), a strong practical
+yardstick for what advance knowledge of the input buys.  It uses the
+same exact shared-load feasibility the online algorithms use, so
+"robust" means precisely the paper's Section II condition.
 
-* :func:`optimal_servers` — an **exact** branch-and-bound search for the
-  minimum number of servers a robust packing can use.  Exponential, for
-  small instances only (roughly n <= 10 tenants at gamma = 2); used by
-  tests and the near-optimality bench to measure the true gap between
-  CUBEFIT and OPT, rather than a lower bound.
-* :class:`OfflineFirstFitDecreasing` — the classic offline heuristic
-  (sort by load descending, then robust First Fit), a strong practical
-  yardstick for what advance knowledge of the input buys.
-
-Both use the same exact shared-load feasibility the online algorithms
-use, so "robust" means precisely the paper's Section II condition.
+The exact optimum lives in :mod:`repro.analysis.optimum`, whose
+branch-and-bound seeds its incumbent from this heuristic.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..core.placement import PlacementState
 from ..core.tenant import Tenant
-from ..errors import ConfigurationError
 from .base import (OnlinePlacementAlgorithm, ServerIndex, register,
                    robust_after_placement)
-
-
-def _feasible_assignment(placement: PlacementState, tenant: Tenant,
-                         servers: Sequence[int], failures: int) -> bool:
-    """Would placing ``tenant`` on ``servers`` keep the packing robust?
-
-    Tries the placement, audits the affected servers, rolls back.
-    """
-    try:
-        placement.place_tenant(tenant, servers)
-    except Exception:
-        return False
-    affected = set(servers)
-    for sid in servers:
-        affected.update(placement.shared_partners(sid))
-    ok = all(placement.is_robust(sid, failures) for sid in affected)
-    placement.remove_tenant(tenant.tenant_id)
-    return ok
-
-
-def optimal_servers(loads: Sequence[float], gamma: int,
-                    failures: Optional[int] = None,
-                    max_tenants: int = 12,
-                    upper_bound: Optional[int] = None) -> int:
-    """Exact minimum server count for a robust packing of ``loads``.
-
-    Branch and bound over tenants in descending load order.  Symmetry is
-    broken by only ever opening "the next" server (server ids are
-    interchangeable), and branches are pruned against the best packing
-    found so far and a capacity-based lower bound on the remainder.
-
-    Raises
-    ------
-    ConfigurationError
-        If more than ``max_tenants`` tenants are given (the search is
-        exponential; the cap is a guard against accidental huge runs).
-    """
-    if gamma < 2:
-        raise ConfigurationError(f"gamma must be >= 2, got {gamma}")
-    if len(loads) > max_tenants:
-        raise ConfigurationError(
-            f"optimal_servers is exponential; got {len(loads)} tenants "
-            f"(max_tenants={max_tenants})")
-    if not loads:
-        return 0
-    f = gamma - 1 if failures is None else failures
-    order = sorted(range(len(loads)), key=lambda i: -loads[i])
-    tenants = [Tenant(tenant_id=i, load=loads[i]) for i in order]
-    suffix_load = [0.0] * (len(tenants) + 1)
-    for i in range(len(tenants) - 1, -1, -1):
-        suffix_load[i] = suffix_load[i + 1] + tenants[i].load
-
-    # Initial incumbent: offline FFD gives a valid upper bound.
-    if upper_bound is None:
-        ffd = OfflineFirstFitDecreasing(gamma=gamma, failures=f)
-        ffd.consolidate(tenants)
-        upper_bound = ffd.placement.num_servers
-    best = [upper_bound]
-
-    placement = PlacementState(gamma=gamma)
-
-    def recurse(index: int, open_servers: int) -> None:
-        if open_servers >= best[0]:
-            return
-        if index == len(tenants):
-            best[0] = open_servers
-            return
-        # Capacity bound on the remainder: even ignoring reserves, the
-        # remaining replica load must fit in the open servers' free
-        # space plus whole new servers.
-        free = sum(placement.server(s).free for s in range(open_servers))
-        remaining = suffix_load[index]
-        extra_needed = max(0, math.ceil(remaining - free - 1e-9))
-        if open_servers + extra_needed >= best[0]:
-            return
-        tenant = tenants[index]
-        # Enumerate how many *new* servers this tenant opens (symmetry:
-        # new servers are taken in id order, so permutations of unused
-        # servers are never explored twice).
-        for new in range(0, gamma + 1):
-            if gamma - new > open_servers:
-                continue  # not enough existing servers for the rest
-            total = open_servers + new
-            if total >= best[0]:
-                continue
-            while placement.num_servers < total:
-                placement.open_server()
-            new_ids = list(range(open_servers, total))
-            for existing in itertools.combinations(range(open_servers),
-                                                   gamma - new):
-                servers = list(existing) + new_ids
-                if not _feasible_assignment(placement, tenant, servers,
-                                            f):
-                    continue
-                placement.place_tenant(tenant, servers)
-                recurse(index + 1, total)
-                placement.remove_tenant(tenant.tenant_id)
-
-    recurse(0, 0)
-    return best[0]
 
 
 @register

@@ -632,7 +632,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "update_load")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for parallelizable "
-                             "experiments (bench, sweep); default 1")
+                             "experiments (bench, sweep, opt-gap); for "
+                             "fleet-soak, 1 runs the streaming soak "
+                             "and N > 1 routes first, then runs "
+                             "shards on N workers; default 1")
     parser.add_argument("--tenants", type=int, default=2000,
                         help="sequence length for the bench, sweep and "
                              "fleet-soak commands (default 2000)")

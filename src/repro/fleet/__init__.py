@@ -4,22 +4,23 @@ Partitions the server estate into N shards, each a full durable
 controller (:mod:`repro.store` reused unchanged: per-shard WAL +
 checkpoint lineage under ``<root>/shard-NNN/``), behind a
 deterministic :class:`~repro.fleet.router.PlacementRouter` with
-batched admission, spillover, and a cross-shard rebalancer whose
-migrations are audited move by move.  Whole-shard failure is a typed,
-drilled event: see :func:`~repro.fleet.chaos.run_fleet_chaos`.
+windowed streaming admission, spillover, and a cross-shard rebalancer
+whose migrations are audited move by move.  Whole-shard failure is a
+typed, drilled event: see :func:`~repro.fleet.chaos.run_fleet_chaos`.
 
 Entry points:
 
 * :class:`PlacementFleet` — live serial fleet (router + shards +
   rebalancer + crash/recover).
-* :func:`run_fleet_soak` — route once, execute shards in parallel via
-  :func:`repro.par.pmap` (bit-identical to serial), measure p50/p99
-  placement latency, optionally SIGKILL-drill one shard.
-* :func:`run_streaming_soak` — the bounded-memory sibling: lazily
-  generated tenants flow through the router's windowed queue into
-  per-shard ``place_batch`` chunks, so million-tenant streams never
-  materialize; packings (unbudgeted) and the crash drill match the
-  three-phase soak.
+* :func:`run_streaming_soak` — what ``repro fleet-soak`` runs by
+  default (``--jobs 1``): lazily generated tenants are routed window
+  by window into per-shard ``place_batch`` chunks, so million-tenant
+  streams never materialize; measures p50/p99 placement latency and
+  SIGKILL-drills one shard.
+* :func:`run_fleet_soak` — what ``--jobs N > 1`` runs: route the whole
+  stream once, execute shards in parallel via :func:`repro.par.pmap`
+  (bit-identical to serial), then re-admit budget spills serially;
+  unbudgeted, its packings match the streaming soak's.
 * :func:`run_fleet_chaos` — whole-shard crash mid-traffic with
   replica-for-replica recovery verification.
 * CLI: ``repro fleet-soak`` / ``repro fleet-status``.

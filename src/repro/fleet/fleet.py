@@ -2,9 +2,10 @@
 
 :class:`PlacementFleet` is the stateful, serial coordinator — the
 object the chaos drill, the rebalancer, and interactive use drive.
-(The large-scale soak in :mod:`repro.fleet.soak` deliberately does
-*not* keep a live fleet: it routes first, then executes each shard's
-sub-stream in :func:`repro.par.pmap` workers.)
+The soaks in :mod:`repro.fleet.soak` drive shard controllers directly
+instead: the streaming soak keeps them in-process, and the
+``jobs > 1`` soak runs each shard in a :func:`repro.par.pmap` worker
+and opens a live fleet only for its serial spill pass.
 
 Layout on disk under the fleet root::
 
@@ -91,7 +92,6 @@ class PlacementFleet:
                  gamma: int = 2, capacity: float = 1.0,
                  failures: Optional[int] = None,
                  policy: str = "hash", seed: int = 0,
-                 batch_size: int = 64,
                  max_servers_per_shard: Optional[int] = None,
                  obs=None, fsync: str = FSYNC_ALWAYS,
                  segment_records: int = 512) -> None:
@@ -121,8 +121,7 @@ class PlacementFleet:
         load_budget = (None if max_servers_per_shard is None
                        else max_servers_per_shard * capacity)
         self.router = PlacementRouter(
-            shards, policy=policy, seed=seed, batch_size=batch_size,
-            load_budget=load_budget)
+            shards, policy=policy, seed=seed, load_budget=load_budget)
         self.max_servers_per_shard = max_servers_per_shard
         self.shards: List[Optional[ShardController]] = []
         for shard_id in range(shards):

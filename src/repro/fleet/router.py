@@ -21,11 +21,13 @@ Three policies, all deterministic:
     (``max_servers * capacity``) minus its estimated load.  Requires a
     budget; falls back to least-loaded on unbounded shards.
 
-Admission is batched: :meth:`submit` parks tenants in a bounded queue
-and :meth:`flush` routes the whole batch, returning per-shard groups;
-:meth:`stream` drives the same queue over a lazy iterable, yielding
-groups batch by batch so an arbitrarily long admission stream never
-has more than one batch resident in the router.
+:meth:`assign` routes and records one tenant.  :meth:`stream` assigns
+a lazy iterable tenant by tenant and yields per-shard groups every
+``batch_size`` arrivals, so an arbitrarily long admission stream never
+has more than one window resident in the router; since each decision
+reads only the estimates, the window size changes when groups are
+handed over, never where a tenant goes.
+
 Spillover (:meth:`spill_order`) is the router's answer to a shard that
 *refused* a placement despite the estimate: siblings are offered the
 tenant in deterministic ring order starting after the refusing shard.
@@ -37,7 +39,7 @@ sibling (see :mod:`repro.faults`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from .. import faults
 from ..core.tenant import Tenant
@@ -101,7 +103,6 @@ class PlacementRouter:
         self.tenants: List[int] = [0] * num_shards
         #: Shards currently marked down (crashed, not yet recovered).
         self.down: set = set()
-        self._pending: List[Tenant] = []
         self.routed = 0
         self.spilled = 0
 
@@ -194,70 +195,27 @@ class PlacementRouter:
                 f"shard must be in [0, {self.num_shards}), got {shard}")
 
     # ------------------------------------------------------------------
-    # Batched admission
+    # Windowed admission
     # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    def submit(self, tenant: Tenant) -> Optional[
-            Dict[int, List[Tenant]]]:
-        """Queue ``tenant``; route the batch when the queue is full.
-
-        Returns the routed groups (shard id -> tenants, in admission
-        order) when this submission filled the batch, else ``None``.
-        """
-        self._pending.append(tenant)
-        if len(self._pending) >= self.batch_size:
-            return self.flush()
-        return None
-
-    def flush(self) -> Dict[int, List[Tenant]]:
-        """Route every queued tenant; return per-shard groups."""
-        groups: Dict[int, List[Tenant]] = {}
-        batch, self._pending = self._pending, []
-        for tenant in batch:
-            groups.setdefault(self.assign(tenant), []).append(tenant)
-        return groups
-
     def stream(self, tenants: Iterable[Tenant]
                ) -> Iterator[Dict[int, List[Tenant]]]:
-        """Windowed routing: yield per-shard groups batch by batch.
+        """Route a (possibly lazy) stream; yield per-shard groups.
 
-        The bounded-queue replacement for materializing a whole
-        admission stream: tenants are drawn from the (possibly lazy)
-        iterable one at a time, parked in the batched queue, and
-        yielded as routed groups every ``batch_size`` arrivals — at
-        most one batch of the stream is ever resident in the router.
-        Routing decisions are identical to submitting the same stream
-        tenant by tenant (:meth:`submit` / :meth:`flush`), and
-        therefore independent of how the caller windows its
-        consumption.  The tail batch, if any, is flushed and yielded
-        last.
+        Tenants are drawn one at a time and assigned as they arrive;
+        every ``batch_size`` arrivals the window's groups (shard id ->
+        tenants, in admission order) are yielded, then the tail, if
+        any.  A window is fully routed before it is yielded, so estimate
+        updates the caller makes while consuming it (spill bookkeeping)
+        only affect later windows.
         """
-        for tenant in tenants:
-            groups = self.submit(tenant)
-            if groups:
+        groups: Dict[int, List[Tenant]] = {}
+        for count, tenant in enumerate(tenants, 1):
+            groups.setdefault(self.assign(tenant), []).append(tenant)
+            if count % self.batch_size == 0:
                 yield groups
-        tail = self.flush()
-        if tail:
-            yield tail
-
-    def route_stream(self, tenants: Iterable[Tenant]
-                     ) -> List[Tuple[int, Tenant]]:
-        """Route a whole admission stream through the batched queue.
-
-        Returns ``(shard, tenant)`` pairs grouped batch by batch; each
-        shard's subsequence is in admission order.  Materializes the
-        full routed stream — callers that can consume batch by batch
-        should iterate :meth:`stream` instead and stay within one
-        batch of resident memory.
-        """
-        routed: List[Tuple[int, Tenant]] = []
-        for groups in self.stream(tenants):
-            for shard, members in groups.items():
-                routed.extend((shard, tenant) for tenant in members)
-        return routed
+                groups = {}
+        if groups:
+            yield groups
 
     # ------------------------------------------------------------------
     # Introspection
@@ -267,10 +225,8 @@ class PlacementRouter:
             "policy": self.policy,
             "shards": self.num_shards,
             "seed": self.seed,
-            "batch_size": self.batch_size,
             "routed": self.routed,
             "spilled": self.spilled,
-            "pending": self.pending,
             "down": sorted(self.down),
             "estimated_loads": [round(x, 9) for x in self.loads],
             "estimated_tenants": list(self.tenants),

@@ -1,50 +1,51 @@
-"""Fleet-scale soak: route, execute shards in parallel, verify.
+"""Fleet-scale soaks: admit a seeded stream, drill a crash, verify.
 
-The soak is the fleet's bench-and-drill harness.  It runs in three
-phases, shaped so that the result is **bit-identical at any ``jobs``
-setting**:
+Two soaks run the same admission stream through the same routing
+decisions; unbudgeted, their per-shard packings are
+fingerprint-identical.
 
-1. **Route.**  The whole admission stream goes through the batched
-   :class:`~repro.fleet.router.PlacementRouter` queue.  Routing uses
+:func:`run_streaming_soak` is what ``repro fleet-soak`` runs by default
+(``--jobs 1``).  Tenants are drawn lazily
+(:func:`~repro.workloads.sequences.stream_tenants`), routed window by
+window (:meth:`PlacementRouter.stream
+<repro.fleet.router.PlacementRouter.stream>`), and admitted through
+each shard's :meth:`~repro.fleet.shard.ShardController.place_batch` on
+long-lived in-process controllers — at most one window of the stream
+is ever resident, which is what lets ``repro fleet-soak`` ingest
+millions of tenants in one process.  A budget refusal spills to the
+siblings at once, in ring order.  Packing fingerprints are maintained
+incrementally (per-shard tenant ids are strictly increasing, so the
+canonical sorted serialization can be hashed as admissions happen),
+and the crash drill verifies recovery by fingerprint instead of
+replaying an acked map it never kept.
+
+:func:`run_fleet_soak` is what ``--jobs N`` runs for ``N > 1``, in
+three phases whose result is bit-identical at any ``jobs`` setting:
+
+1. **Route.**  The whole stream is assigned up front
+   (:meth:`~repro.fleet.router.PlacementRouter.assign`).  Routing uses
    only the router's own estimates, so the per-shard sub-streams are
    fixed before any shard exists.
 2. **Execute.**  Each shard's sub-stream runs in a
    :func:`repro.par.pmap` worker that owns the shard's
    :class:`~repro.fleet.shard.ShardController` (and therefore its WAL
-   + checkpoint directory) exclusively.  Per-shard work is fully
-   self-contained; ``jobs`` only changes wall-clock time.  When the
-   config names a crash shard, that worker SIGKILL-simulates its
-   controller mid-stream (abandoned with no shutdown), recovers from
-   the shard's own WAL + checkpoint, verifies every acked placement
-   came back replica-for-replica, and finishes its stream on the
-   recovered controller.
-3. **Spill.**  Tenants refused by their budgeted shard come back and
-   are re-admitted serially through a live
-   :class:`~repro.fleet.fleet.PlacementFleet` (router spillover, ring
-   order).  Unbudgeted fleets never spill.
+   + checkpoint directory) exclusively; ``jobs`` only changes
+   wall-clock time.  The victim shard's worker verifies that every
+   acked placement came back replica-for-replica.
+3. **Spill.**  Tenants refused by their budgeted shard are re-admitted
+   serially through a live :class:`~repro.fleet.fleet.PlacementFleet`
+   (router spillover, ring order).  Unbudgeted fleets never spill;
+   budgeted ones may pack differently from the streaming soak, which
+   spills each refusal at once.
 
-Latency is measured, not inferred: when an obs registry is attached,
-the per-operation ``placement.place.seconds`` histograms
-(:data:`~repro.obs.LATENCY_BUCKETS`) from every worker are absorbed in
-shard order and the soak reports their p50/p99.
-
-:func:`run_streaming_soak` is the bounded-memory sibling of the
-three-phase soak: instead of materializing the whole admission stream
-up front, tenants are drawn lazily
-(:func:`~repro.workloads.sequences.stream_tenants`), routed through
-the router's windowed queue (:meth:`PlacementRouter.stream`), and
-admitted window by window through each shard's
-:meth:`~repro.fleet.shard.ShardController.place_batch` — at most one
-window of the stream is ever resident, which is what lets ``repro
-fleet-soak`` ingest millions of tenants in one process.  Packing
-fingerprints are maintained incrementally (per-shard tenant ids are
-strictly increasing, so the canonical sorted serialization can be
-hashed as admissions happen), and the crash drill verifies recovery
-by fingerprint instead of replaying an acked map it never kept.
-Unbudgeted runs are fingerprint-identical to the three-phase soak;
-budgeted runs may pack differently because streaming re-admits a
-refused tenant immediately (ring order) while the batch soak defers
-every spill to a final serial phase.
+Both soaks SIGKILL-simulate the configured crash shard mid-stream
+(abandoned with no shutdown) and recover it from its own WAL +
+checkpoint — after the stream instead, when the victim's share is too
+short to reach the trigger — then checkpoint, audit and close every
+shard.  Latency is measured, not inferred: with an obs registry
+attached, each soak reports p50/p99 of the per-operation
+``placement.place.seconds`` histogram
+(:data:`~repro.obs.LATENCY_BUCKETS`).
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class FleetSoakConfig:
     policy: str = "hash"
     gamma: int = 2
     seed: int = 0
-    batch_size: int = 256
     #: Upper bound of the uniform tenant-load distribution.
     max_load: float = 0.6
     max_servers_per_shard: Optional[int] = None
@@ -221,6 +221,58 @@ def _packing_fingerprint(acked: Dict[int, List[int]]) -> str:
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
+def _crash_report(at: int, acked: int, divergences: List[str],
+                  recovered) -> Dict[str, object]:
+    """The crash-drill evidence a victim shard's outcome carries."""
+    return {
+        "at": at,
+        "acked": acked,
+        "divergences": divergences,
+        "audit_ok": recovered is not None and recovered.audit.ok,
+        "records_replayed": (0 if recovered is None
+                             else recovered.records_replayed),
+        "checkpoint_seq": (0 if recovered is None
+                           else recovered.checkpoint_seq),
+    }
+
+
+def _close_shard(controller: ShardController, fingerprint: str,
+                 elapsed: float, spilled: List[Tuple[int, float]],
+                 crash: Optional[Dict[str, object]]) -> ShardOutcome:
+    """Checkpoint, audit and close a shard whose stream is done."""
+    controller.checkpoint_and_compact()
+    report = controller.audit()
+    placement = controller.placement
+    outcome = ShardOutcome(
+        shard_id=controller.shard_id,
+        tenants=placement.num_tenants,
+        servers=placement.num_servers,
+        nonempty_servers=placement.num_nonempty_servers,
+        total_load=placement.total_load(),
+        utilization=placement.utilization(),
+        audit_ok=report.ok,
+        min_slack=report.min_slack,
+        wal_next_seq=controller.store.wal.next_seq,
+        fingerprint=fingerprint,
+        elapsed=elapsed,
+        spilled=spilled,
+        crash=crash,
+    )
+    controller.close()
+    return outcome
+
+
+def _place_latency(gated) -> Tuple[Optional[float], Optional[float]]:
+    """p50 and p99 of the ``placement.place.seconds`` histogram."""
+    if gated is None:
+        return None, None
+    histogram = gated.histogram("placement.place.seconds",
+                                buckets=LATENCY_BUCKETS)
+    if not histogram.count:
+        return None, None
+    return histogram.percentile(50.0), histogram.percentile(99.0)
+
+
 def _run_shard(item, registry) -> ShardOutcome:
     """Worker body: run one shard's sub-stream to completion.
 
@@ -238,6 +290,28 @@ def _run_shard(item, registry) -> ShardOutcome:
             max_servers=max_servers, obs=registry,
             segment_records=segment_records)
 
+    def crash_drill(at: int) -> None:
+        # SIGKILL semantics: abandon the controller with no shutdown,
+        # then recover from the shard's own WAL + checkpoint and
+        # verify every acked placement survived.
+        nonlocal controller, crash_report
+        controller.crash()
+        controller = fresh()
+        placement = controller.placement
+        divergences: List[str] = []
+        if placement.num_tenants != len(acked):
+            divergences.append(
+                f"recovered {placement.num_tenants} tenants, "
+                f"acked {len(acked)}")
+        for tid, servers in acked.items():
+            by_index = placement.tenant_servers(tid)
+            got = [by_index[i] for i in sorted(by_index)]
+            if got != servers:
+                divergences.append(
+                    f"tenant {tid}: acked {servers}, recovered {got}")
+        crash_report = _crash_report(at, len(acked), divergences,
+                                     controller.recovered_state)
+
     started = time.perf_counter()
     controller = fresh()
     acked: Dict[int, List[int]] = {}
@@ -245,71 +319,26 @@ def _run_shard(item, registry) -> ShardOutcome:
     crash_report: Optional[Dict[str, object]] = None
     for index, (tenant_id, load) in enumerate(assignment):
         if index == crash_at:
-            # SIGKILL semantics: abandon the controller with no
-            # shutdown, then recover from the shard's own WAL +
-            # checkpoint and verify every acked placement survived.
-            controller.crash()
-            controller = fresh()
-            recovered = controller.recovered_state
-            divergences: List[str] = []
-            placement = controller.placement
-            if placement.num_tenants != len(acked):
-                divergences.append(
-                    f"recovered {placement.num_tenants} tenants, "
-                    f"acked {len(acked)}")
-            for tid, servers in acked.items():
-                by_index = placement.tenant_servers(tid)
-                got = [by_index[i] for i in sorted(by_index)]
-                if got != servers:
-                    divergences.append(
-                        f"tenant {tid}: acked {servers}, "
-                        f"recovered {got}")
-            crash_report = {
-                "at": index,
-                "acked": len(acked),
-                "divergences": divergences,
-                "audit_ok": (recovered is not None
-                             and recovered.audit.ok),
-                "records_replayed": (
-                    0 if recovered is None
-                    else recovered.records_replayed),
-                "checkpoint_seq": (
-                    0 if recovered is None
-                    else recovered.checkpoint_seq),
-            }
+            crash_drill(index)
         try:
             servers = controller.place(Tenant(tenant_id, load))
         except ShardSaturatedError:
             spilled.append((tenant_id, load))
             continue
         acked[tenant_id] = list(servers)
-    controller.checkpoint_and_compact()
-    report = controller.audit()
-    elapsed = time.perf_counter() - started
-    placement = controller.placement
-    outcome = ShardOutcome(
-        shard_id=shard_id,
-        tenants=placement.num_tenants,
-        servers=placement.num_servers,
-        nonempty_servers=placement.num_nonempty_servers,
-        total_load=placement.total_load(),
-        utilization=placement.utilization(),
-        audit_ok=report.ok,
-        min_slack=report.min_slack,
-        wal_next_seq=controller.store.wal.next_seq,
-        fingerprint=_packing_fingerprint(acked),
-        elapsed=elapsed,
-        spilled=spilled,
-        crash=crash_report,
-    )
-    controller.close()
-    return outcome
+    if crash_at >= 0 and crash_report is None and acked:
+        # A one-tenant sub-stream never reaches the trigger; drill
+        # once after the stream, as the streaming soak does.
+        crash_drill(len(assignment))
+    return _close_shard(controller, _packing_fingerprint(acked),
+                        time.perf_counter() - started, spilled,
+                        crash_report)
 
 
 def run_fleet_soak(root: PathLike,
                    config: Optional[FleetSoakConfig] = None,
                    obs=None, jobs: int = 1) -> FleetSoakResult:
-    """Run a fleet soak under ``root``; see the module docstring."""
+    """Run the route-then-execute soak; see the module docstring."""
     cfg = config if config is not None else FleetSoakConfig()
     gated = active(obs)
     root = Path(root)
@@ -318,20 +347,18 @@ def run_fleet_soak(root: PathLike,
     load_budget = (None if cfg.max_servers_per_shard is None
                    else float(cfg.max_servers_per_shard))
     router = PlacementRouter(cfg.shards, policy=cfg.policy,
-                             seed=cfg.seed, batch_size=cfg.batch_size,
-                             load_budget=load_budget)
-    routed = router.route_stream(list(sequence))
-    assignments: Dict[int, List[Tuple[int, float]]] = {
-        shard: [] for shard in range(cfg.shards)}
-    for shard, tenant in routed:
-        assignments[shard].append((tenant.tenant_id, tenant.load))
+                             seed=cfg.seed, load_budget=load_budget)
+    assignments: List[List[Tuple[int, float]]] = [
+        [] for _ in range(cfg.shards)]
+    for tenant in sequence:
+        assignments[router.assign(tenant)].append(
+            (tenant.tenant_id, tenant.load))
     write_fleet_meta(root, shards=cfg.shards, gamma=cfg.gamma,
                      capacity=1.0, policy=cfg.policy, seed=cfg.seed,
                      max_servers_per_shard=cfg.max_servers_per_shard)
 
     items = []
-    for shard in range(cfg.shards):
-        assignment = assignments[shard]
+    for shard, assignment in enumerate(assignments):
         crash_at = -1
         if cfg.crash_shard == shard and assignment:
             crash_at = max(1, len(assignment) // 2)
@@ -376,13 +403,7 @@ def run_fleet_soak(root: PathLike,
     placed = sum(o.tenants for o in outcomes)
     aggregate = sum(o.tenants / o.elapsed for o in outcomes
                     if o.elapsed > 0 and o.tenants)
-    p50 = p99 = None
-    if gated is not None:
-        histogram = gated.histogram("placement.place.seconds",
-                                    buckets=LATENCY_BUCKETS)
-        if histogram.count:
-            p50 = histogram.percentile(50.0)
-            p99 = histogram.percentile(99.0)
+    p50, p99 = _place_latency(gated)
     return FleetSoakResult(
         config=cfg, outcomes=outcomes, placed=placed,
         spill_placed=spill_placed, spill_unplaced=spill_unplaced,
@@ -520,11 +541,9 @@ def run_streaming_soak(root: PathLike,
         # running digest (the streaming soak keeps no acked map).
         shard.controller.crash()
         controller = fresh(shard.shard_id)
-        recovered = controller.recovered_state
-        placement = controller.placement
         divergences: List[str] = []
         got_fp, got_count = _recovered_fingerprint(
-            placement, shard.foreign)
+            controller.placement, shard.foreign)
         if got_count != shard.acked:
             divergences.append(
                 f"recovered {got_count} tenants, acked {shard.acked}")
@@ -532,17 +551,9 @@ def run_streaming_soak(root: PathLike,
             divergences.append(
                 f"recovered packing fingerprint {got_fp[:16]}..., "
                 f"acked {shard.fingerprint()[:16]}...")
-        shard.crash_report = {
-            "at": shard.acked,
-            "acked": shard.acked,
-            "divergences": divergences,
-            "audit_ok": (recovered is not None
-                         and recovered.audit.ok),
-            "records_replayed": (0 if recovered is None
-                                 else recovered.records_replayed),
-            "checkpoint_seq": (0 if recovered is None
-                               else recovered.checkpoint_seq),
-        }
+        shard.crash_report = _crash_report(
+            shard.acked, shard.acked, divergences,
+            controller.recovered_state)
         shard.controller = controller
 
     spill_placed = spill_unplaced = 0
@@ -585,28 +596,10 @@ def run_streaming_soak(root: PathLike,
         if victim.crash_report is None and victim.acked > 0:
             crash_drill(victim)
 
-    outcomes: List[ShardOutcome] = []
-    for shard in shards:
-        controller = shard.controller
-        controller.checkpoint_and_compact()
-        report = controller.audit()
-        placement = controller.placement
-        outcomes.append(ShardOutcome(
-            shard_id=shard.shard_id,
-            tenants=placement.num_tenants,
-            servers=placement.num_servers,
-            nonempty_servers=placement.num_nonempty_servers,
-            total_load=placement.total_load(),
-            utilization=placement.utilization(),
-            audit_ok=report.ok,
-            min_slack=report.min_slack,
-            wal_next_seq=controller.store.wal.next_seq,
-            fingerprint=shard.fingerprint(),
-            elapsed=shard.elapsed,
-            spilled=shard.refused,
-            crash=shard.crash_report,
-        ))
-        controller.close()
+    outcomes = [_close_shard(shard.controller, shard.fingerprint(),
+                             shard.elapsed, shard.refused,
+                             shard.crash_report)
+                for shard in shards]
     wall = time.perf_counter() - started
 
     servers = sum(o.servers for o in outcomes)
@@ -616,13 +609,7 @@ def run_streaming_soak(root: PathLike,
     placed = sum(o.tenants for o in outcomes) - spill_placed
     aggregate = sum(shard.acked / shard.elapsed for shard in shards
                     if shard.elapsed > 0 and shard.acked)
-    p50 = p99 = None
-    if gated is not None:
-        histogram = gated.histogram("placement.place.seconds",
-                                    buckets=LATENCY_BUCKETS)
-        if histogram.count:
-            p50 = histogram.percentile(50.0)
-            p99 = histogram.percentile(99.0)
+    p50, p99 = _place_latency(gated)
     return FleetSoakResult(
         config=cfg, outcomes=outcomes, placed=placed,
         spill_placed=spill_placed, spill_unplaced=spill_unplaced,

@@ -64,10 +64,6 @@ class ComparisonResult:
         counts = self.servers[algorithm]
         return sum(counts) / len(counts)
 
-    def servers_ci(self, algorithm: str) -> ConfidenceInterval:
-        return confidence_interval_95(
-            [float(c) for c in self.servers[algorithm]])
-
     def savings_percent(self, baseline: str,
                         candidate: str) -> float:
         """Relative difference of mean server counts:

@@ -353,7 +353,8 @@ class TestStoreCommands:
 class TestFleetCommands:
     """`repro fleet-soak` / `fleet-status` regression: the one-line
     stderr/exit-1 convention for bad arguments, and the end-to-end
-    soak-then-status round trip on a real fleet root."""
+    soak-then-status round trip on a real fleet root in both soak
+    modes."""
 
     def test_fleet_soak_requires_store_flag(self, capsys):
         assert cli.main(["fleet-soak"]) == 1
@@ -382,18 +383,28 @@ class TestFleetCommands:
         assert code == 1
         assert "repro fleet-soak: error:" in captured.err
 
-    def test_fleet_soak_then_status_round_trip(self, tmp_path, capsys):
-        root = tmp_path / "fleet"
+    def _soak_then_status(self, root, capsys, *mode):
         assert cli.main(["fleet-soak", "--store", str(root),
                          "--tenants", "240", "--shards", "2",
-                         "--jobs", "2"]) == 0
+                         *mode]) == 0
         out = capsys.readouterr().out
         assert "SIGKILL-drilled" in out
         assert "p99" in out
+        assert "crash drill: shard 0" in out
         assert cli.main(["fleet-status", "--store", str(root)]) == 0
         out = capsys.readouterr().out
         assert "geometry:   2 shard(s)" in out
         assert "audits all clean" in out
+
+    def test_fleet_soak_then_status_round_trip(self, tmp_path, capsys):
+        self._soak_then_status(tmp_path / "fleet", capsys, "--jobs", "2")
+
+    def test_default_streaming_soak_then_status_round_trip(
+            self, tmp_path, capsys):
+        # --jobs 1 is the CLI default: the streaming soak, here with a
+        # small window and no fsync.
+        self._soak_then_status(tmp_path / "fleet", capsys, "--jobs", "1",
+                               "--window", "64", "--fsync", "never")
 
 
 class TestOptGapCommand:

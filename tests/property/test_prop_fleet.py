@@ -11,7 +11,7 @@ Two claims, each drawn over random workloads:
 2. **Routing is deterministic.**  Under a fixed seed the router maps
    an admission stream to the same shards on every run, for every
    policy and shard count; hash routing is additionally invariant to
-   the admission batch size.
+   the streaming window size.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -31,6 +31,13 @@ loads = st.floats(min_value=0.01, max_value=0.9,
 operations = st.lists(
     st.tuples(st.sampled_from(["place", "remove", "update"]), loads),
     min_size=1, max_size=25)
+
+
+def _routed(router, tenants):
+    """``(shard, tenant id)`` pairs in the order ``stream`` yields."""
+    return [(shard, t.tenant_id)
+            for groups in router.stream(tenants)
+            for shard, members in groups.items() for t in members]
 
 
 def _wal_bytes(directory):
@@ -137,8 +144,7 @@ def test_routing_is_deterministic_under_a_fixed_seed(
         router = PlacementRouter(
             shards, policy=policy, seed=seed, batch_size=batch_size,
             load_budget=100.0 if policy == "headroom" else None)
-        return [(s, t.tenant_id) for s, t in
-                router.route_stream(tenants)]
+        return _routed(router, tenants)
 
     first, second = route(), route()
     assert second == first
@@ -160,7 +166,6 @@ def test_hash_routing_ignores_batch_size(num_tenants, shards, seed,
     def members(batch_size):
         router = PlacementRouter(shards, policy="hash", seed=seed,
                                  batch_size=batch_size)
-        return sorted((s, t.tenant_id)
-                      for s, t in router.route_stream(tenants))
+        return sorted(_routed(router, tenants))
 
     assert members(batch_a) == members(batch_b)

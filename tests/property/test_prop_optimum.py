@@ -33,7 +33,8 @@ from repro.core.validation import audit, brute_force_audit
 GRID = st.integers(5, 95).map(lambda v: v / 100)
 
 #: Heuristics the sandwich property pins against the oracle.
-HEURISTICS = ("cubefit", "rfi", "firstfit", "bestfit", "nextfit")
+HEURISTICS = ("cubefit", "rfi", "firstfit", "bestfit", "nextfit",
+              "offline-ffd")
 
 
 def _tiny_instance(data):

@@ -3,8 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.offline import (OfflineFirstFitDecreasing,
-                                      optimal_servers)
+from repro.algorithms.offline import OfflineFirstFitDecreasing
+from repro.analysis.optimum import branch_and_bound_optimum
 from repro.core.cubefit import CubeFit
 from repro.core.recovery import RecoveryPlanner
 from repro.core.tenant import Tenant, make_tenants
@@ -20,7 +20,7 @@ small_loads = st.lists(
 @settings(max_examples=25, deadline=None)
 def test_optimum_never_above_ffd(loads):
     """The exact optimum lower-bounds every heuristic."""
-    opt = optimal_servers(loads, gamma=2)
+    opt = branch_and_bound_optimum(loads, 2).optimum()
     ffd = OfflineFirstFitDecreasing(gamma=2)
     ffd.consolidate(make_tenants(loads))
     assert opt <= ffd.placement.num_servers
@@ -31,8 +31,8 @@ def test_optimum_never_above_ffd(loads):
 @settings(max_examples=15, deadline=None)
 def test_optimum_packing_budget_monotone(loads):
     """A larger failure budget can never need fewer servers."""
-    relaxed = optimal_servers(loads, gamma=2, failures=0)
-    robust = optimal_servers(loads, gamma=2, failures=1)
+    relaxed = branch_and_bound_optimum(loads, 2, failures=0).optimum()
+    robust = branch_and_bound_optimum(loads, 2, failures=1).optimum()
     assert relaxed <= robust
 
 

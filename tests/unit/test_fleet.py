@@ -98,42 +98,6 @@ class TestRouterPolicies:
         assert router.spilled == 2
 
 
-class TestRouterBatching:
-    def test_submit_routes_only_full_batches(self):
-        router = PlacementRouter(2, batch_size=3)
-        assert router.submit(Tenant(1, 0.1)) is None
-        assert router.submit(Tenant(2, 0.1)) is None
-        groups = router.submit(Tenant(3, 0.1))
-        assert groups is not None
-        assert sum(len(g) for g in groups.values()) == 3
-        assert router.pending == 0
-
-    def test_flush_drains_partial_batch(self):
-        router = PlacementRouter(2, batch_size=10)
-        router.submit(Tenant(1, 0.1))
-        groups = router.flush()
-        assert sum(len(g) for g in groups.values()) == 1
-        assert router.flush() == {}
-
-    def test_route_stream_preserves_admission_order_per_shard(self):
-        tenants = [Tenant(tid, 0.1) for tid in range(40)]
-        router = PlacementRouter(4, policy="hash", batch_size=7)
-        routed = router.route_stream(tenants)
-        assert len(routed) == 40
-        for shard in range(4):
-            ids = [t.tenant_id for s, t in routed if s == shard]
-            assert ids == sorted(ids)
-
-    def test_route_stream_is_batch_size_invariant_in_membership(self):
-        # Hash routing is history-free, so even the shard *membership*
-        # cannot depend on how admission was batched.
-        tenants = [Tenant(tid, 0.1) for tid in range(50)]
-        by7 = PlacementRouter(4, batch_size=7).route_stream(tenants)
-        by50 = PlacementRouter(4, batch_size=50).route_stream(tenants)
-        assert sorted((s, t.tenant_id) for s, t in by7) == \
-            sorted((s, t.tenant_id) for s, t in by50)
-
-
 class TestRouterBookkeeping:
     def test_record_remove_clamps_at_zero(self):
         router = PlacementRouter(2)
@@ -405,8 +369,7 @@ class TestFleetSoak:
         obs = MetricsRegistry()
         result = run_fleet_soak(
             tmp_path / "soak",
-            FleetSoakConfig(shards=3, tenants=240, batch_size=32),
-            obs=obs)
+            FleetSoakConfig(shards=3, tenants=240), obs=obs)
         assert result.ok
         assert result.placed == 240
         assert result.audits_ok
@@ -422,7 +385,7 @@ class TestFleetSoak:
                     / "checkpoint.json").exists()
 
     def test_jobs_do_not_change_the_result(self, tmp_path):
-        config = FleetSoakConfig(shards=4, tenants=200, batch_size=25,
+        config = FleetSoakConfig(shards=4, tenants=200,
                                  policy="least-loaded")
         serial = run_fleet_soak(tmp_path / "a", config, jobs=1)
         parallel = run_fleet_soak(tmp_path / "b", config, jobs=2)
@@ -435,11 +398,25 @@ class TestFleetSoak:
         result = run_fleet_soak(
             tmp_path / "soak",
             FleetSoakConfig(shards=2, tenants=120, crash_shard=None,
-                            max_servers_per_shard=20, batch_size=16))
+                            max_servers_per_shard=20))
         assert result.ok
         assert (result.placed + result.spill_placed
                 + result.spill_unplaced == 120)
         assert result.spill_placed + result.spill_unplaced > 0
+
+    @pytest.mark.parametrize("tenants", [3, 4])
+    def test_one_tenant_victim_still_drills(self, tmp_path, tenants):
+        # Shard 0 is routed a single tenant, so neither soak reaches
+        # its mid-stream trigger; both must drill after the stream.
+        config = FleetSoakConfig(shards=2, tenants=tenants)
+        for soak in (run_fleet_soak, run_streaming_soak):
+            result = soak(tmp_path / soak.__name__, config)
+            crash = result.crash_outcome
+            assert crash is not None and crash.shard_id == 0
+            assert crash.tenants == 1
+            assert crash.crash["acked"] == 1
+            assert result.crash_divergences == []
+            assert result.ok
 
     def test_soak_without_crash_drill(self, tmp_path):
         result = run_fleet_soak(
@@ -505,7 +482,7 @@ class TestRouterStream:
         assert windows == 7  # six full windows + the 4-tenant tail
         assert sorted(tid for _, tid in routed) == list(range(100))
 
-    def test_stream_matches_route_stream(self):
+    def test_stream_matches_assign_in_admission_order(self):
         tenants = [Tenant(tid, 0.05 + (tid % 7) / 10)
                    for tid in range(60)]
         streaming = PlacementRouter(3, policy="least-loaded",
@@ -514,16 +491,18 @@ class TestRouterStream:
                     for groups in streaming.stream(iter(tenants))
                     for shard, members in groups.items()
                     for t in members]
-        batch = PlacementRouter(3, policy="least-loaded", batch_size=8)
-        routed = [(shard, t.tenant_id)
-                  for shard, t in batch.route_stream(tenants)]
-        assert streamed == routed
+        assigner = PlacementRouter(3, policy="least-loaded")
+        assigned = [(assigner.assign(t), t.tenant_id) for t in tenants]
+        for shard in range(3):
+            assert [tid for s, tid in streamed if s == shard] == \
+                [tid for s, tid in assigned if s == shard]
+        assert streaming.snapshot() == assigner.snapshot()
 
     def test_routing_is_window_size_invariant(self):
-        # Flushes route tenant by tenant in admission order, so the
-        # window length changes when decisions happen, never what they
-        # decide — the invariant that lets the streaming soak pick its
-        # window freely.
+        # Each arrival is routed on the estimates alone, so the window
+        # length changes when groups are handed over, never what is
+        # decided — the invariant that lets the streaming soak pick
+        # its window freely.
         tenants = [Tenant(tid, 0.05 + (tid % 9) / 20)
                    for tid in range(90)]
 
@@ -542,10 +521,11 @@ class TestRouterStream:
 class TestStreamingSoak:
     def test_matches_batch_soak_bit_for_bit(self, tmp_path):
         # The streaming soak is the batch soak with bounded memory:
-        # same routing, same packings, same per-shard fingerprints —
-        # and at window == batch_size the whole-run fingerprint (which
-        # folds in the router snapshot) matches too.
-        config = FleetSoakConfig(shards=3, tenants=240, batch_size=32)
+        # same routing, same packings, same per-shard fingerprints,
+        # and the same whole-run fingerprint (which folds in the
+        # router snapshot) whatever the window — 32 is not the
+        # router's default of 64.
+        config = FleetSoakConfig(shards=3, tenants=240)
         batch = run_fleet_soak(tmp_path / "batch", config)
         streaming = run_streaming_soak(tmp_path / "stream", config,
                                        window=32)

@@ -1,39 +1,41 @@
-"""Unit tests for the offline solvers (exact OPT and FFD)."""
+"""Unit tests for offline FFD and the exact optimum it is judged by."""
 
 import numpy as np
-import pytest
 
-from repro.algorithms.offline import (OfflineFirstFitDecreasing,
-                                      optimal_servers)
+from repro.algorithms.offline import OfflineFirstFitDecreasing
 from repro.algorithms.lower_bound import capacity_lower_bound
+from repro.analysis.optimum import branch_and_bound_optimum
 from repro.core.tenant import make_tenants
 from repro.core.validation import audit
-from repro.errors import ConfigurationError
+
+
+def _optimum(loads, gamma=2, failures=None):
+    return branch_and_bound_optimum(loads, gamma, failures).optimum()
 
 
 class TestOptimalServers:
     def test_empty(self):
-        assert optimal_servers([], gamma=2) == 0
+        assert _optimum([]) == 0
 
     def test_single_tenant_needs_gamma_servers(self):
-        assert optimal_servers([1.0], gamma=2) == 2
-        assert optimal_servers([0.9], gamma=3) == 3
+        assert _optimum([1.0]) == 2
+        assert _optimum([0.9], gamma=3) == 3
 
     def test_full_load_tenants_cannot_share(self):
         """Two tenants of load 1: replicas 0.5 each plus a 0.5 reserve
         per server — no two replicas can coexist."""
-        assert optimal_servers([1.0, 1.0], gamma=2) == 4
+        assert _optimum([1.0, 1.0]) == 4
 
     def test_small_tenants_pack_together(self):
         # Four tenants of 0.2: replicas 0.1; all fit on 2 servers with
         # reserve 0.4 + load 0.4 <= 1.
-        assert optimal_servers([0.2] * 4, gamma=2) == 2
+        assert _optimum([0.2] * 4) == 2
 
     def test_opt_at_least_capacity_bound(self):
         rng = np.random.default_rng(71)
         for _ in range(3):
             loads = list(rng.uniform(0.1, 0.8, 6))
-            opt = optimal_servers(loads, gamma=2)
+            opt = _optimum(loads)
             assert opt >= capacity_lower_bound(loads)
             assert opt >= 2  # gamma distinct servers
 
@@ -42,7 +44,7 @@ class TestOptimalServers:
         from repro.algorithms.rfi import RFI
         rng = np.random.default_rng(73)
         loads = list(rng.uniform(0.1, 0.9, 7))
-        opt = optimal_servers(loads, gamma=2)
+        opt = _optimum(loads)
         for algo in (CubeFit(gamma=2, num_classes=5), RFI(gamma=2)):
             algo.consolidate(make_tenants(loads))
             # RFI reserves for fewer failures than OPT's full budget,
@@ -53,20 +55,16 @@ class TestOptimalServers:
 
     def test_opt_matches_ffd_on_easy_instance(self):
         loads = [0.4, 0.4, 0.4, 0.4]
-        opt = optimal_servers(loads, gamma=2)
+        opt = _optimum(loads)
         ffd = OfflineFirstFitDecreasing(gamma=2)
         ffd.consolidate(make_tenants(loads))
         assert opt <= ffd.placement.num_servers
 
-    def test_tenant_cap_guard(self):
-        with pytest.raises(ConfigurationError):
-            optimal_servers([0.1] * 20, gamma=2)
-
     def test_failures_budget_zero_packs_tighter(self):
         """Without any failover reserve, packings can be denser."""
         loads = [0.5, 0.5, 0.5]
-        robust = optimal_servers(loads, gamma=2, failures=1)
-        non_robust = optimal_servers(loads, gamma=2, failures=0)
+        robust = _optimum(loads, failures=1)
+        non_robust = _optimum(loads, failures=0)
         assert non_robust <= robust
 
 
