@@ -179,8 +179,7 @@ def _run_checkpoint(args: argparse.Namespace) -> None:
             "the checkpoint command requires --store DIR")
     with DurableStore(args.store, create=False) as store:
         state = store.recover()
-        path = store.checkpoint(state.placement)
-        removed = store.compact()
+        path, removed = store.checkpoint_and_compact(state.placement)
     print(f"recovered {state.placement.num_tenants} tenants on "
           f"{state.placement.num_servers} servers "
           f"(replayed {state.records_replayed} WAL records on top of "

@@ -200,8 +200,7 @@ def _drive_churn(algorithm: OnlinePlacementAlgorithm,
                 state.applied += 1
         if store is not None and checkpoint_every \
                 and state.applied % checkpoint_every == 0:
-            store.checkpoint(algorithm.placement)
-            store.compact()
+            store.checkpoint_and_compact(algorithm.placement)
     return True
 
 

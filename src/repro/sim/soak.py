@@ -224,8 +224,7 @@ class _SoakDriver:
                            migrations=len(plan.migrations))
         if store is not None and self.checkpoint_every \
                 and (op_index + 1) % self.checkpoint_every == 0:
-            store.checkpoint(placement)
-            store.compact()
+            store.checkpoint_and_compact(placement)
         self._check(op_index)
 
     def finish(self) -> None:

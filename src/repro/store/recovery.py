@@ -35,6 +35,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.placement import PlacementState
@@ -42,6 +43,7 @@ from ..core.tenant import Replica, Tenant
 from ..core.validation import AuditReport, audit
 from ..errors import (ConfigurationError, PlacementError,
                       StoreCorruptionError)
+from ..obs import LATENCY_BUCKETS
 from .snapshot import load_checkpoint, save_checkpoint
 from .wal import FSYNC_ALWAYS, WriteAheadLog
 
@@ -235,19 +237,29 @@ class DurableStore:
         The WAL is flushed first so the recorded ``wal_applied``
         watermark never runs ahead of durable records.
         """
+        self._checkpoint(placement)
+        return self.checkpoint_path
+
+    def _checkpoint(self, placement: PlacementState) -> int:
+        """:meth:`checkpoint`, returning the ``wal_applied`` it wrote."""
+        obs = self._obs
+        start = perf_counter() if obs is not None else 0.0
         self.wal.flush()
+        watermark = self.wal.next_seq
         algorithm = ""
         if self._meta is not None:
             algorithm = str(self._meta.get("algorithm", ""))
         save_checkpoint(placement, self.checkpoint_path,
-                        wal_applied=self.wal.next_seq,
-                        algorithm=algorithm)
-        if self._obs is not None:
-            self._obs.counter("store.checkpoint").inc()
-            self._obs.emit("checkpoint", wal_applied=self.wal.next_seq,
-                           servers=placement.num_servers,
-                           tenants=placement.num_tenants)
-        return self.checkpoint_path
+                        wal_applied=watermark, algorithm=algorithm)
+        if obs is not None:
+            obs.histogram("store.checkpoint.seconds",
+                          buckets=LATENCY_BUCKETS).observe(
+                              perf_counter() - start)
+            obs.counter("store.checkpoint").inc()
+            obs.emit("checkpoint", wal_applied=watermark,
+                     servers=placement.num_servers,
+                     tenants=placement.num_tenants)
+        return watermark
 
     def compact(self) -> List[Path]:
         """Drop WAL segments the latest checkpoint made redundant.
@@ -255,11 +267,18 @@ class DurableStore:
         Only whole segments strictly below the checkpoint's
         ``wal_applied`` watermark are deleted, so recovery after
         compaction replays exactly the records it would have replayed
-        before.  A no-op when no checkpoint exists.
+        before.  A no-op when no checkpoint exists.  The watermark is
+        read back from ``checkpoint.json``, so this also serves a store
+        that has not written a checkpoint itself;
+        :meth:`checkpoint_and_compact` truncates at the watermark it
+        just wrote instead.
         """
         if not self.checkpoint_path.exists():
             return []
-        watermark = load_checkpoint(self.checkpoint_path).wal_applied
+        return self._truncate_wal(
+            load_checkpoint(self.checkpoint_path).wal_applied)
+
+    def _truncate_wal(self, watermark: int) -> List[Path]:
         removed = self.wal.truncate_before(watermark)
         if self._obs is not None and removed:
             self._obs.counter("store.compact.segments").inc(len(removed))
@@ -272,15 +291,16 @@ class DurableStore:
         """Checkpoint ``placement`` and drop the WAL segments the new
         checkpoint made redundant, in one call.
 
-        The maintenance step of the long-running service: the
-        checkpoint timer and the graceful-shutdown path both run it, so
-        the two cannot drift apart on ordering (checkpoint strictly
-        before compaction — compacting first would delete records the
-        old checkpoint still needs).
+        The maintenance step of every durable caller: the serve
+        daemon's timer and shutdown, fleet shards, and the soak and
+        churn harnesses all run it, so none can drift on ordering
+        (checkpoint strictly before compaction — compacting first
+        would delete records the old checkpoint still needs).  The
+        WAL is truncated at the watermark this checkpoint wrote; the
+        file is not read back.
         """
-        path = self.checkpoint(placement)
-        removed = self.compact()
-        return path, removed
+        watermark = self._checkpoint(placement)
+        return self.checkpoint_path, self._truncate_wal(watermark)
 
     def close(self) -> None:
         self.wal.close()

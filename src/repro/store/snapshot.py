@@ -103,13 +103,26 @@ class Checkpoint:
         return placement
 
 
+def _fsync_directory(directory: Path) -> None:
+    """Make the entries of ``directory`` (a rename into it) durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def save_checkpoint(placement: PlacementState, path: PathLike,
                     wal_applied: int = 0, algorithm: str = "") -> None:
     """Write a v2 checkpoint of ``placement`` atomically.
 
-    The payload is written to a temporary file and ``os.replace``-d
-    into place, so a crash mid-checkpoint leaves either the previous
-    checkpoint or the new one — never a half-written file.
+    The payload is encoded in full first (a field the encoder rejects
+    raises before any file exists), written to a temporary file with
+    one call, fsynced and ``os.replace``-d into place, so a crash
+    mid-checkpoint leaves either the previous checkpoint or the new one
+    — never a half-written file.  The directory is fsynced after the
+    rename, so the new checkpoint is durable before the caller compacts
+    the WAL segments it made redundant.
     """
     if wal_applied < 0:
         raise ConfigurationError(
@@ -133,6 +146,9 @@ def save_checkpoint(placement: PlacementState, path: PathLike,
         "next_server_id": placement._next_server_id,
         "servers": servers,
     }
+    # ``json.dumps`` runs CPython's C encoder; ``json.dump`` to a file
+    # never does and makes thousands of small writes.
+    text = json.dumps(payload, sort_keys=True, default=_jsonable)
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     if faults.active():
@@ -140,7 +156,7 @@ def save_checkpoint(placement: PlacementState, path: PathLike,
         # any) stays untouched and authoritative.
         faults.fire("store.checkpoint.write")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, default=_jsonable)
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     if faults.active() and faults.should("store.checkpoint.partial"):
@@ -155,6 +171,7 @@ def save_checkpoint(placement: PlacementState, path: PathLike,
             f"failpoint store.checkpoint.partial left {tmp.name} "
             f"half-written", failpoint="store.checkpoint.partial")
     os.replace(tmp, target)
+    _fsync_directory(target.parent)
 
 
 def load_checkpoint(path: PathLike) -> Checkpoint:

@@ -306,7 +306,10 @@ class WriteAheadLog:
 
         Segments that lie entirely below ``start_seq`` are skipped
         without being parsed — this is what makes checkpoint-plus-tail
-        recovery O(tail), not O(history).
+        recovery O(tail), not O(history).  If the first segment read
+        starts after ``start_seq``, the records in between are gone (a
+        stale checkpoint over a compacted log) and this raises
+        :class:`~repro.errors.StoreCorruptionError`.
         """
         self.flush()
         segments = self.segments()
@@ -320,6 +323,11 @@ class WriteAheadLog:
             if not is_last and starts[index + 1] <= start_seq:
                 continue
             if expected is None:
+                if first_seq > start_seq:
+                    raise StoreCorruptionError(
+                        f"{path}: segment starts at {first_seq}, but "
+                        f"records from {start_seq} were requested; the "
+                        f"segments before it are missing")
                 expected = first_seq
             elif first_seq != expected:
                 raise StoreCorruptionError(

@@ -6,6 +6,8 @@ simulate a crash simply never close explicitly.
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +17,9 @@ from repro.algorithms.rfi import RFI
 from repro.core.cubefit import CubeFit
 from repro.core.tenant import Tenant
 from repro.errors import ConfigurationError, StoreCorruptionError
-from repro.obs import MetricsRegistry
+from repro.obs import EventJournal, MetricsRegistry
 from repro.store import DurableStore, diff_placements, recover
+from repro.store import recovery as store_recovery
 
 
 def _run_ops(algo, count=10, load=0.2, start_id=0):
@@ -158,6 +161,83 @@ class TestCheckpointAndCompaction:
         store.close()
         assert recover(tmp_path / "st").records_replayed == 0
 
+    def _journaled_history(self, store_factory, name):
+        journal = EventJournal()
+        store = store_factory(name, segment_records=8,
+                              obs=MetricsRegistry(journal=journal))
+        algo = RobustBestFit(gamma=2)
+        algo.attach_store(store)
+        _run_ops(algo, count=40)
+        return store, algo, journal
+
+    def test_checkpoint_and_compact_does_not_read_the_checkpoint_back(
+            self, store_factory, monkeypatch):
+        store, algo, journal = self._journaled_history(store_factory, "a")
+        store.checkpoint(algo.placement)
+        removed = store.compact()
+        assert removed
+        expected = ([p.name for p in removed],
+                    [(e.type, e.data) for e in journal])
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read back")
+
+        monkeypatch.setattr(store_recovery, "load_checkpoint", refuse)
+        store, algo, journal = self._journaled_history(store_factory, "b")
+        _path, removed = store.checkpoint_and_compact(algo.placement)
+        assert ([p.name for p in removed],
+                [(e.type, e.data) for e in journal]) == expected
+        assert [e.type for e in journal] == ["checkpoint", "compact"]
+
+    def test_checkpoint_rename_is_durable_before_any_unlink(
+            self, tmp_path, store_factory, monkeypatch):
+        store, algo = self._store_with_history(store_factory)
+        stat = (tmp_path / "st").stat()
+        store_dir = (stat.st_dev, stat.st_ino)
+        events = []
+        real_replace, real_fsync = os.replace, os.fsync
+        real_unlink = Path.unlink
+
+        def replace(src, dst, *args, **kwargs):
+            events.append(("replace", Path(dst).name))
+            return real_replace(src, dst, *args, **kwargs)
+
+        def fsync(fd):
+            stat = os.fstat(fd)
+            if (stat.st_dev, stat.st_ino) == store_dir:
+                events.append(("fsync", "store dir"))
+            return real_fsync(fd)
+
+        def unlink(path, *args, **kwargs):
+            events.append(("unlink", path.name))
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(Path, "unlink", unlink)
+        _path, removed = store.checkpoint_and_compact(algo.placement)
+        assert removed
+        first_unlink = [kind for kind, _name in events].index("unlink")
+        assert events.index(("replace", "checkpoint.json")) \
+            < events.index(("fsync", "store dir")) < first_unlink
+
+    def test_stale_checkpoint_over_compacted_wal_is_refused(
+            self, tmp_path, store_factory):
+        store = store_factory(segment_records=4)
+        algo = RobustBestFit(gamma=2)
+        algo.attach_store(store)
+        _run_ops(algo, count=16, load=0.01)
+        store.checkpoint_and_compact(algo.placement)
+        stale = store.checkpoint_path.read_bytes()
+        _run_ops(algo, count=17, load=0.01, start_id=16)
+        store.checkpoint_and_compact(algo.placement)
+        store.close()
+        # The crash state power loss allows without a directory fsync:
+        # the second checkpoint's rename lost, its unlinks kept.
+        store.checkpoint_path.write_bytes(stale)
+        with pytest.raises(StoreCorruptionError):
+            recover(tmp_path / "st")
+
 
 class TestAdopt:
     def _recovered(self, tmp_path, store_factory, gamma=2):
@@ -207,3 +287,14 @@ class TestObsIntegration:
         assert snap["store.wal_append"]["value"] == store.wal.next_seq
         store.checkpoint(algo.placement)
         assert obs.snapshot()["store.checkpoint"]["value"] == 1
+
+    def test_checkpoint_seconds_histogram(self, store_factory):
+        obs = MetricsRegistry()
+        store = store_factory(obs=obs)
+        algo = RobustBestFit(gamma=2)
+        algo.attach_store(store)
+        _run_ops(algo, count=5)
+        store.checkpoint(algo.placement)
+        seconds = obs.snapshot()["store.checkpoint.seconds"]
+        assert seconds["count"] == 1
+        assert seconds["total"] > 0.0

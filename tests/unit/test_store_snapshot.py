@@ -1,9 +1,12 @@
 """Unit tests for self-contained placement checkpoints."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core.cubefit import CubeFit
 from repro.core.placement import PlacementState
 from repro.core.tenant import Replica, Tenant
 from repro.errors import ConfigurationError, StoreCorruptionError
@@ -34,6 +37,23 @@ def _fanout_placement():
     placement.place(Replica(9, 1, 0.3), 0)
     placement.place(Replica(9, 2, 0.05), 1)
     return placement
+
+
+#: Written by ``save_checkpoint`` before it switched from ``json.dump``
+#: to one ``json.dumps`` call; see :func:`_golden_placement`.
+GOLDEN = Path(__file__).parent.parent / "golden" / \
+    "checkpoint_cubefit_g3.json"
+
+
+def _golden_placement():
+    """The placement in ``GOLDEN``: CubeFit at gamma 3, 36 tenants whose
+    replica loads mostly need 17 significant digits, and one numpy
+    scalar tag that only the ``default`` hook can encode."""
+    algo = CubeFit(gamma=3)
+    for i in range(36):
+        algo.place(Tenant(i, (i % 13 + 1) / 29))
+    algo.placement.server(0).tags["weight"] = np.int64(7)
+    return algo.placement
 
 
 class TestRoundTrip:
@@ -74,6 +94,21 @@ class TestRoundTrip:
         restored = load_checkpoint(tmp_path / "c.json").restore()
         assert restored.server(1).tags == {"cube": 0, "mature": True}
         assert diff_placements(placement, restored) == []
+
+
+class TestGoldenCheckpoint:
+    def test_save_reproduces_golden_bytes(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(_golden_placement(), path, wal_applied=215,
+                        algorithm="cubefit")
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_golden_restores_without_diff(self):
+        checkpoint = load_checkpoint(GOLDEN)
+        assert checkpoint.wal_applied == 215
+        assert checkpoint.algorithm == "cubefit"
+        assert diff_placements(_golden_placement(),
+                               checkpoint.restore()) == []
 
 
 class TestDiffPlacements:
@@ -153,3 +188,10 @@ class TestMalformedCheckpoints:
         leftovers = [p for p in tmp_path.iterdir()
                      if p.name != "c.json"]
         assert leftovers == []
+
+    def test_unencodable_tag_raises_before_any_file(self, tmp_path):
+        placement = _standard_placement()
+        placement.server(2).tags["owner"] = object()
+        with pytest.raises(TypeError):
+            save_checkpoint(placement, tmp_path / "c.json")
+        assert list(tmp_path.iterdir()) == []

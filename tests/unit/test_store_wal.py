@@ -156,6 +156,15 @@ class TestCorruption:
         with pytest.raises(StoreCorruptionError):
             list(wal.records())
 
+    def test_missing_head_segments_raise(self, tmp_path):
+        wal = self._write_records(tmp_path, 9, segment_records=3)
+        wal.truncate_before(6)
+        # Records 2..5 are gone: starting there would silently resume
+        # at 6, past the hole.
+        with pytest.raises(StoreCorruptionError):
+            list(wal.records(start_seq=2))
+        assert [r.seq for r in wal.records(start_seq=6)] == [6, 7, 8]
+
     def test_reopen_with_mid_segment_garbage_raises(self, tmp_path):
         self._write_records(tmp_path, 4)
         path = tmp_path / "wal-000000000000.jsonl"
