@@ -261,17 +261,6 @@ def _run_explain(args: argparse.Namespace) -> None:
         print()
 
 
-def _run_bench(args: argparse.Namespace) -> None:
-    from .sim.bench import run_bench
-
-    print(f"Placement-speed bench ({args.tenants} tenants, "
-          f"jobs={args.jobs}); deterministic fields: servers, "
-          f"utilization, screened fraction.\n")
-    run_bench(scales=(args.tenants,), rounds=2, jobs=args.jobs,
-              fleet_scales=((args.tenants, args.shards),),
-              progress=print)
-
-
 def _run_sweep(args: argparse.Namespace) -> None:
     from .sim.sensitivity import (k_sensitivity, mu_sensitivity,
                                   sla_sensitivity)
@@ -551,7 +540,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "theorem2": _run_theorem2,
     "calibrate": _run_calibrate,
     "chaos": _run_chaos,
-    "bench": _run_bench,
     "sweep": _run_sweep,
     "opt-gap": _run_opt_gap,
     "scaling": _run_scaling,
@@ -631,12 +619,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "update_load")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for parallelizable "
-                             "experiments (bench, sweep, opt-gap); for "
+                             "experiments (sweep, opt-gap); for "
                              "fleet-soak, 1 runs the streaming soak "
                              "and N > 1 routes first, then runs "
                              "shards on N workers; default 1")
     parser.add_argument("--tenants", type=int, default=2000,
-                        help="sequence length for the bench, sweep and "
+                        help="sequence length for the sweep and "
                              "fleet-soak commands (default 2000)")
     parser.add_argument("--shards", type=int, default=8,
                         help="shard count for the fleet-soak command "

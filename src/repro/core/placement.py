@@ -113,10 +113,6 @@ class PlacementState:
         Replication factor (replicas per tenant); typically 2 or 3.
     capacity:
         Per-server capacity; the paper normalizes this to 1.
-    slack_cache:
-        Memoize per-server worst-case failover loads, invalidating only
-        the servers a mutation affects.  On by default; disable to get
-        the naive recompute-every-time behaviour (benchmark baseline).
     shadow_audit:
         Cross-check every served worst-failover value against a
         from-scratch recomputation and raise
@@ -132,7 +128,6 @@ class PlacementState:
     """
 
     def __init__(self, gamma: int, capacity: float = UNIT_CAPACITY,
-                 slack_cache: bool = True,
                  shadow_audit: Optional[bool] = None) -> None:
         if gamma < 1:
             raise ConfigurationError(f"gamma must be >= 1, got {gamma}")
@@ -149,7 +144,6 @@ class PlacementState:
         self._tenant_servers: Dict[int, Dict[int, int]] = {}
         #: tenant_id -> tenant load (needed to rebuild shares on removal)
         self._tenant_loads: Dict[int, float] = {}
-        self._slack_cache_enabled = slack_cache
         #: server id -> {failure budget -> worst-case failover load}
         self._wfl_cache: Dict[int, Dict[int, float]] = {}
         #: server id -> {count -> top-``count`` (value, partner) pairs}
@@ -192,21 +186,6 @@ class PlacementState:
         tracker = DirtyTracker(self)
         self._trackers.append(tracker)
         return tracker
-
-    def set_slack_cache(self, enabled: bool) -> None:
-        """Enable or disable worst-failover memoization at run time.
-
-        Disabling restores the naive recompute-every-time behaviour
-        (the benchmark baseline), so it also drops the top-partner memo.
-        """
-        self._slack_cache_enabled = enabled
-        if not enabled:
-            self._wfl_cache.clear()
-            self._top_cache.clear()
-
-    @property
-    def slack_cache_enabled(self) -> bool:
-        return self._slack_cache_enabled
 
     # ------------------------------------------------------------------
     # Server inventory
@@ -410,16 +389,13 @@ class PlacementState:
         f = self.gamma - 1 if failures is None else failures
         if f <= 0:
             return 0.0
-        if not self._slack_cache_enabled:
-            value = self._compute_worst_failover(server_id, f)
-        else:
-            per_server = self._wfl_cache.get(server_id)
-            if per_server is None:
-                per_server = self._wfl_cache[server_id] = {}
-            value = per_server.get(f)
-            if value is None:
-                value = per_server[f] = \
-                    self._compute_worst_failover(server_id, f)
+        per_server = self._wfl_cache.get(server_id)
+        if per_server is None:
+            per_server = self._wfl_cache[server_id] = {}
+        value = per_server.get(f)
+        if value is None:
+            value = per_server[f] = \
+                self._compute_worst_failover(server_id, f)
         if self.shadow_audit:
             self._shadow_check(server_id, f, value)
         return value
@@ -441,12 +417,8 @@ class PlacementState:
         repeated ambiguous-band probes of an unmutated server reuse one
         top-set instead of re-heaping the partner dict every time
         (:attr:`top_partner_recomputes` counts the recomputations).
-        Bypasses the memo while the slack cache is disabled.
         """
         shared = self._shared[server_id]
-        if not self._slack_cache_enabled:
-            self.top_partner_recomputes += 1
-            return self._top_of(shared, count)
         per_server = self._top_cache.get(server_id)
         if per_server is None:
             per_server = self._top_cache[server_id] = {}

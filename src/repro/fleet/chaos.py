@@ -128,13 +128,10 @@ class FleetChaosReport:
 
     @property
     def repro_line(self) -> str:
-        cfg = self.config
         return (
             "PYTHONPATH=src python -c \"from repro.fleet.chaos import "
             "FleetChaosConfig, run_fleet_chaos; print(run_fleet_chaos("
-            f"'STORE_DIR', FleetChaosConfig(operations={cfg.operations}"
-            f", shards={cfg.shards}, policy='{cfg.policy}', "
-            f"gamma={cfg.gamma}, seed={cfg.seed})))\"")
+            f"'STORE_DIR', {self.config!r}))\"")
 
     def __str__(self) -> str:
         ops = ", ".join(f"{k}={v}"

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..core.tenant import Tenant
 from ..errors import (ConfigurationError, ShardDownError,
                       ShardSaturatedError, StoreCorruptionError)
+from ..store.snapshot import write_atomic
 from ..store.wal import FSYNC_ALWAYS
 from .router import POLICIES, PlacementRouter
 from .shard import ShardController, shard_directory
@@ -54,10 +55,7 @@ def write_fleet_meta(root: PathLike, **fields) -> Path:
                "version": FLEET_META_VERSION}
     payload.update(fields)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=1),
-                   encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1))
     return path
 
 

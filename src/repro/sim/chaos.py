@@ -210,6 +210,7 @@ class ChaosReport:
     """Outcome of one chaos soak, including the conformance verdict."""
 
     algorithm: str
+    gamma: int
     seed: int
     operations: int
     schedule: Tuple[FaultEvent, ...]
@@ -238,7 +239,8 @@ class ChaosReport:
         """CLI invocation reproducing this exact run."""
         return (f"repro chaos --seed {self.seed} "
                 f"--ops {self.operations} "
-                f"--schedule '{format_schedule(self.schedule)}'")
+                f"--schedule '{format_schedule(self.schedule)}' "
+                f"--gamma {self.gamma}")
 
     def __str__(self) -> str:
         status = "CONFORMANT" if self.ok else \
@@ -343,9 +345,9 @@ def run_chaos_soak(factory: Callable[[], OnlinePlacementAlgorithm],
                           min_load=cfg.min_load, max_load=cfg.max_load,
                           audit_each=True)
     result = SoakResult(algorithm=algorithm.name)
-    report = ChaosReport(algorithm=algorithm.name, seed=cfg.seed,
-                         operations=cfg.operations, schedule=schedule,
-                         result=result)
+    report = ChaosReport(algorithm=algorithm.name, gamma=algorithm.gamma,
+                         seed=cfg.seed, operations=cfg.operations,
+                         schedule=schedule, result=result)
     driver = _SoakDriver(algorithm, soak_cfg, rng, result, gated,
                          checkpoint_every=cfg.checkpoint_every)
     budget = driver.budget
@@ -499,7 +501,10 @@ class ServeChaosReport:
     """
 
     mode: str
-    seed: int
+    tenants: int
+    resume_tenants: int
+    fault_spec: Optional[str]
+    checkpoint_interval: float
     drill: object = None  # DrillReport (typed loosely: lazy import)
     #: Tenants placed against the restarted (warm) daemon.
     resumed: Dict[int, List[int]] = field(default_factory=dict)
@@ -519,7 +524,10 @@ class ServeChaosReport:
                 "from repro.sim.chaos import run_serve_chaos; "
                 "t = pathlib.Path(tempfile.mkdtemp()); "
                 f"r = run_serve_chaos(t / 'store', t / 'serve.sock', "
-                f"mode='{self.mode}', seed={self.seed}); "
+                f"mode={self.mode!r}, tenants={self.tenants}, "
+                f"resume_tenants={self.resume_tenants}, "
+                f"fault_spec={self.fault_spec!r}, "
+                f"checkpoint_interval={self.checkpoint_interval!r}); "
                 "print(r); raise SystemExit(0 if r.ok else 1)\"")
 
     def __str__(self) -> str:
@@ -534,7 +542,6 @@ class ServeChaosReport:
 
 def run_serve_chaos(store_dir, socket_path, mode: str = "sigkill",
                     tenants: int = 120, resume_tenants: int = 20,
-                    seed: int = 0,
                     fault_spec: Optional[str] = None,
                     checkpoint_interval: float = 0.1
                     ) -> ServeChaosReport:
@@ -557,7 +564,10 @@ def run_serve_chaos(store_dir, socket_path, mode: str = "sigkill",
     from ..store import recover as store_recover
 
     store_dir = Path(store_dir)
-    report = ServeChaosReport(mode=mode, seed=seed)
+    report = ServeChaosReport(mode=mode, tenants=tenants,
+                              resume_tenants=resume_tenants,
+                              fault_spec=fault_spec,
+                              checkpoint_interval=checkpoint_interval)
     report.drill = run_serve_drill(
         store_dir, socket_path, mode=mode, tenants=tenants,
         checkpoint_interval=checkpoint_interval,

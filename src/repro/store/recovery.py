@@ -32,7 +32,6 @@ segments a checkpoint has made redundant; compaction never changes what
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -44,7 +43,7 @@ from ..core.validation import AuditReport, audit
 from ..errors import (ConfigurationError, PlacementError,
                       StoreCorruptionError)
 from ..obs import LATENCY_BUCKETS
-from .snapshot import load_checkpoint, save_checkpoint
+from .snapshot import load_checkpoint, save_checkpoint, write_atomic
 from .wal import FSYNC_ALWAYS, WriteAheadLog
 
 PathLike = Union[str, Path]
@@ -177,7 +176,7 @@ class DurableStore:
                         f"store {self.directory} was created with "
                         f"{key}={self._meta.get(key)!r}; cannot bind an "
                         f"algorithm with {key}={meta[key]!r}")
-        _write_meta(self.meta_path, meta)
+        write_atomic(self.meta_path, json.dumps(meta, sort_keys=True))
         self._meta = meta
         self._servers_logged = algorithm.placement._next_server_id
 
@@ -472,15 +471,6 @@ def _read_meta(path: Path) -> Dict[str, object]:
             f"{path}: unsupported store-meta version "
             f"{payload.get('version')!r}")
     return payload
-
-
-def _write_meta(path: Path, meta: Dict[str, object]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 __all__ = ["DurableStore", "RecoveredState", "recover"]

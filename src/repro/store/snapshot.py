@@ -112,6 +112,22 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text``, atomically and durably.
+
+    Writes a temporary file, fsyncs it, ``os.replace``-s it over
+    ``path``, then fsyncs the directory: a power loss leaves either the
+    old file or the new one, and once this returns the new one stays.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    _fsync_directory(path.parent)
+
+
 def save_checkpoint(placement: PlacementState, path: PathLike,
                     wal_applied: int = 0, algorithm: str = "") -> None:
     """Write a v2 checkpoint of ``placement`` atomically.

@@ -50,6 +50,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from .. import faults
 from ..errors import (ConfigurationError, SimulatedCrash,
                       StoreCorruptionError)
+from .snapshot import _fsync_directory
 
 PathLike = Union[str, Path]
 
@@ -211,6 +212,10 @@ class WriteAheadLog:
         path = self.directory / _segment_name(self._next_seq)
         self._file = open(path, "a", encoding="utf-8")
         self._segment_count = 0
+        if self.fsync != FSYNC_NEVER:
+            # A record fsynced into the new segment survives power loss
+            # only if the segment's directory entry does too.
+            _fsync_directory(self.directory)
 
     def _fsync(self, fileno: int) -> None:
         """fsync with the ``store.wal.fsync`` failpoint in front.

@@ -9,13 +9,18 @@ Three families:
 * **Durable stores** — ``store_factory`` creates
   :class:`repro.store.DurableStore` instances under the test's tmp
   dir and guarantees they are closed at teardown (a leaked open WAL
-  file handle hides fsync/close bugs from later tests).
+  file handle hides fsync/close bugs from later tests); ``fs_events``
+  records ``os.replace`` and ``os.fsync`` calls in order, so a test
+  can check that a rename or a new file is durable.
 * **Failpoint hygiene** — the autouse ``clean_failpoints`` fixture
   clears the global registry around every test, so an armed failpoint
   or a leftover fire count can never leak across tests (the seams are
   compiled into production code paths and consult process-global
   state).
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,3 +95,36 @@ def store_factory(tmp_path):
             store.close()
         except Exception:
             pass  # the test already broke the store on purpose
+
+
+class FsEvents(list):
+    """``os.replace`` and ``os.fsync`` calls in call order, as
+    ``("replace", target name)`` and ``("fsync", (st_dev, st_ino))``."""
+
+    @staticmethod
+    def fsync_of(path):
+        """The event an fsync of ``path`` (a file or a directory)
+        records."""
+        stat = os.stat(path)
+        return ("fsync", (stat.st_dev, stat.st_ino))
+
+
+@pytest.fixture
+def fs_events(monkeypatch):
+    """Record every ``os.replace`` and ``os.fsync`` (see
+    :class:`FsEvents`); the real calls still run."""
+    events = FsEvents()
+    real_replace, real_fsync = os.replace, os.fsync
+
+    def replace(src, dst, *args, **kwargs):
+        events.append(("replace", Path(dst).name))
+        return real_replace(src, dst, *args, **kwargs)
+
+    def fsync(fd):
+        stat = os.fstat(fd)
+        events.append(("fsync", (stat.st_dev, stat.st_ino)))
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "fsync", fsync)
+    return events

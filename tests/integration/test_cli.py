@@ -1,6 +1,7 @@
 """Integration tests for the command-line interface."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ class TestArgumentParsing:
         assert "Traceback" not in captured.err
 
     def test_invalid_tenants_one_line_error_exit_1(self, capsys):
-        assert cli.main(["bench", "--tenants", "0"]) == 1
+        assert cli.main(["sweep", "--tenants", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("repro: error:")
         assert len(captured.err.strip().splitlines()) == 1
@@ -265,6 +266,25 @@ class TestChaosCommand:
         assert code == 1
         assert captured.err.startswith("repro chaos: error:")
         assert "Traceback" not in captured.err
+
+    def test_repro_line_round_trips_at_gamma_3(self, capsys):
+        # A replay at the default gamma 2 would tear a different WAL
+        # record, so the line must carry --gamma.
+        assert cli.main(["chaos", "--gamma", "3", "--ops", "60",
+                         "--seed", "7", "--faults",
+                         "algo.place,store.wal.torn_tail"]) == 0
+        first = capsys.readouterr().out
+        report = next(l for l in first.splitlines()
+                      if "reproduce: repro chaos" in l)
+        line = report.split("reproduce: repro ", 1)[1].removesuffix(")")
+        assert cli.main(shlex.split(line)) == 0
+        second = capsys.readouterr().out
+
+        def error_log(text):
+            return [l for l in text.splitlines() if l.startswith("  op ")]
+
+        assert error_log(first)
+        assert error_log(first) == error_log(second)
 
     def test_failure_prints_repro_line_on_stderr(self, monkeypatch,
                                                  capsys):

@@ -10,8 +10,8 @@ check both the contract and the drill's own determinism.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet import (FleetChaosConfig, PlacementFleet,
-                         run_fleet_chaos)
+from repro.fleet import (FleetChaosConfig, FleetChaosReport,
+                         PlacementFleet, run_fleet_chaos)
 from repro.obs import MetricsRegistry
 
 
@@ -85,6 +85,20 @@ class TestDrillConformance:
         assert "run_fleet_chaos" in report.repro_line
         assert "operations=80" in report.repro_line
         assert "seed=9" in report.repro_line
+
+    def test_repro_line_carries_every_config_field(self):
+        config = FleetChaosConfig(operations=80, shards=2, seed=9,
+                                  crash_at=10, downtime=5,
+                                  rebalance_every=0, max_load=0.4,
+                                  max_servers_per_shard=7)
+        line = FleetChaosReport(config=config,
+                                store_dir="chaos").repro_line
+        assert "crash_at=10" in line
+        # The config literal evaluates back to an equal config.
+        start = line.index("FleetChaosConfig(")
+        literal = line[start:line.rindex(")))") + 1]
+        assert eval(literal, {"FleetChaosConfig": FleetChaosConfig}) \
+            == config
 
 
 class TestDrillConfig:

@@ -8,14 +8,17 @@ drill: a -9 mid-traffic must recover to an audit-clean placement whose
 committed prefix matches exactly what the daemon acked.
 """
 
+import shlex
 import signal
+import tempfile
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.serve.client import ServeClient, wait_until_ready
 from repro.serve.drill import run_serve_drill, spawn_daemon
-from repro.sim.chaos import run_serve_chaos
+from repro.sim.chaos import ServeChaosReport, run_serve_chaos
 from repro.store import recover
 
 
@@ -64,6 +67,31 @@ class TestServeDrills:
             mode="sigterm", tenants=30, resume_tenants=5,
             fault_spec="serve.checkpoint_timer=raise")
         assert report.ok, str(report)
+
+    def test_serve_chaos_repro_line_passes_every_argument(
+            self, tmp_path, monkeypatch):
+        """Executing the repro line calls run_serve_chaos with the
+        reported run's arguments, the armed failpoint included."""
+        import repro.sim.chaos as chaos_mod
+
+        arguments = dict(mode="sigkill", tenants=120, resume_tenants=0,
+                         fault_spec="serve.checkpoint_timer=raise",
+                         checkpoint_interval=0.2)
+        line = ServeChaosReport(**arguments).repro_line
+        calls = []
+
+        def record(store_dir, socket_path, **kwargs):
+            calls.append(kwargs)
+            return SimpleNamespace(ok=True)
+
+        monkeypatch.setattr(chaos_mod, "run_serve_chaos", record)
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda: str(tmp_path))
+        python, flag, code = shlex.split(line)
+        assert (python, flag) == ("python", "-c")
+        with pytest.raises(SystemExit) as stop:
+            exec(code, {})
+        assert stop.value.code == 0
+        assert calls == [arguments]
 
     def test_drill_rejects_unknown_mode(self, tmp_path):
         with pytest.raises(ConfigurationError, match="mode"):

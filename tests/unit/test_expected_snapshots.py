@@ -11,16 +11,29 @@ snippet in this file's docstring)::
     theorem2_table(theorem2()).to_csv("benchmarks/expected/theorem2.csv")
     EOF
 
-The golden packings pin the exact replica-to-server assignment CUBEFIT
-and RFI produce for the benchmark's 2k-tenant sequence: any change to
-candidate ordering, candidate indexing or feasibility screening that
-moves even one replica changes the per-server tenant-set hash.  Regenerate
-``benchmarks/expected/packings_2k.json`` consciously via::
+The golden packings pin the exact replica-to-server assignment each of
+the five algorithms (gamma 2) produces for a seed-0 ``Uniform(0, 0.6]``
+sequence: any change to candidate ordering, candidate indexing or
+feasibility screening that moves even one replica changes the
+per-server tenant-set hash.  The server count and the tenant sets fix
+the mean utilization too.  Tier-1 checks the 2k-tenant packings.  CI
+checks CUBEFIT and RFI at 100k tenants, where the candidate index scans
+40k-44k servers per arrival (about 13 s each on a 2-vCPU machine).
+Regenerate ``benchmarks/expected/packings_2k.json`` and
+``benchmarks/expected/packings_100k.json`` consciously via::
+
+    PYTHONPATH=src python - <<'EOF'
+    import json
+    from tests.unit.test_expected_snapshots import (
+        PACKING_ALGORITHMS, _packing_snapshot)
+    print(json.dumps({name: _packing_snapshot(name, 2000)
+                      for name in PACKING_ALGORITHMS}, indent=2))
+    EOF
 
     PYTHONPATH=src python - <<'EOF'
     import json
     from tests.unit.test_expected_snapshots import _packing_snapshot
-    print(json.dumps({name: _packing_snapshot(name)
+    print(json.dumps({name: _packing_snapshot(name, 100000)
                       for name in ("cubefit", "rfi")}, indent=2))
     EOF
 
@@ -42,17 +55,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.algorithms.base import make_algorithm
 from repro.analysis.report import theorem2_table
-from repro.sim.bench import (BENCH_DISTRIBUTION_MAX, BENCH_SEED,
-                             FACTORIES, UniformLoad, generate_sequence)
 from repro.sim.figures import theorem2
+from repro.workloads.distributions import UniformLoad
+from repro.workloads.sequences import generate_sequence
 
 _EXPECTED_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / \
     "expected"
 EXPECTED = _EXPECTED_DIR / "theorem2.csv"
 EXPECTED_PACKINGS = _EXPECTED_DIR / "packings_2k.json"
+EXPECTED_PACKINGS_100K = _EXPECTED_DIR / "packings_100k.json"
 
-SNAPSHOT_TENANTS = 2000
+#: CUBEFIT runs with its default ``num_classes`` (10).
+PACKING_ALGORITHMS = ("cubefit", "rfi", "bestfit", "firstfit", "nextfit")
 
 
 def test_theorem2_sweep_matches_snapshot():
@@ -64,31 +80,30 @@ def test_theorem2_sweep_matches_snapshot():
     )
 
 
-def _packing_snapshot(name: str) -> dict:
-    """Server count + a digest of each server's tenant set for the
-    benchmark scenario at 2k tenants."""
-    algo = FACTORIES[name]()
-    algo.consolidate(generate_sequence(
-        UniformLoad(BENCH_DISTRIBUTION_MAX), SNAPSHOT_TENANTS,
-        seed=BENCH_SEED))
+def _packing_snapshot(name: str, tenants: int) -> dict:
+    """Server count + a digest of each server's tenant set after
+    ``name`` (gamma 2) consolidates the seed-0 ``Uniform(0, 0.6]``
+    sequence of ``tenants`` tenants."""
+    algo = make_algorithm(name, 2)
+    algo.consolidate(generate_sequence(UniformLoad(0.6), tenants, seed=0))
     placement = algo.placement
     digest = hashlib.sha256()
     for sid in sorted(placement.server_ids):
-        tenants = sorted({tid for tid, _
-                          in placement.server(sid).replicas})
-        digest.update(f"{sid}:{tenants}\n".encode())
+        tenant_ids = sorted({tid for tid, _
+                             in placement.server(sid).replicas})
+        digest.update(f"{sid}:{tenant_ids}\n".encode())
     return {
-        "tenants": SNAPSHOT_TENANTS,
+        "tenants": tenants,
         "servers": placement.num_servers,
         "tenant_sets_sha256": digest.hexdigest(),
     }
 
 
-@pytest.mark.parametrize("name", ["cubefit", "rfi"])
+@pytest.mark.parametrize("name", PACKING_ALGORITHMS)
 def test_golden_packing_matches_snapshot(name):
     expected = json.loads(EXPECTED_PACKINGS.read_text())
-    assert _packing_snapshot(name) == expected[name], (
-        f"the {name} packing for the benchmark 2k sequence changed; "
+    assert _packing_snapshot(name, 2000) == expected[name], (
+        f"the {name} packing for the 2k-tenant sequence changed; "
         "if intentional, regenerate benchmarks/expected/"
         "packings_2k.json (snippet in this file's docstring)"
     )

@@ -186,6 +186,12 @@ class TestFleetMeta:
         assert meta["shards"] == 4
         assert meta["policy"] == "hash"
 
+    def test_meta_rename_is_durable(self, tmp_path, fs_events):
+        path = write_fleet_meta(tmp_path, shards=4)
+        renamed = fs_events.index(("replace", FLEET_META_NAME))
+        assert fs_events.fsync_of(path) in fs_events[:renamed]
+        assert fs_events.fsync_of(tmp_path) in fs_events[renamed:]
+
     def test_missing_meta_is_typed(self, tmp_path):
         with pytest.raises(ConfigurationError):
             read_fleet_meta(tmp_path)
@@ -435,35 +441,6 @@ class TestFleetSoak:
         assert "Fleet soak" in text
         assert "crash drill" in text
         assert "audits: all clean" in text
-
-
-class TestFleetBenchScenario:
-    def test_deterministic_fields_and_shape(self):
-        from repro.sim.bench import fleet_scenario
-        first = fleet_scenario(300, 3, rounds=1)
-        second = fleet_scenario(300, 3, rounds=1)
-        assert first["servers"] == second["servers"]
-        assert first["utilization"] == second["utilization"]
-        assert first["shards"] == 3
-        # Summed per-shard rates can never undershoot the serial wall
-        # rate (equal only if one shard got the whole stream).
-        assert first["aggregate_tenants_per_second"] >= \
-            first["tenants_per_second"]
-
-    def test_baseline_check_covers_the_fleet_section(self):
-        from repro.sim.bench import check_against_baseline
-        row = {"servers": 50, "utilization": 0.6,
-               "aggregate_tenants_per_second": 1000}
-        base = {"fleet": {"100x2": dict(row)}}
-        good = {"fleet": {"100x2": dict(row,
-                aggregate_tenants_per_second=900)}}
-        assert check_against_baseline(good, base) == []
-        bad = {"fleet": {"100x2": dict(row, servers=51,
-               aggregate_tenants_per_second=100)}}
-        problems = check_against_baseline(bad, base)
-        assert len(problems) == 2
-        # A run that skipped the fleet section stays compatible.
-        assert check_against_baseline({}, base) == []
 
 
 class TestRouterStream:

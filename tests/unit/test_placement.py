@@ -214,25 +214,6 @@ class TestSlackIndex:
         server = ps.open_server()
         assert server.server_id in tracker.drain()
 
-    def test_cache_disabled_still_correct(self):
-        ps = PlacementState(gamma=2, slack_cache=False)
-        for _ in range(3):
-            ps.open_server()
-        ps.place_tenant(Tenant(0, 0.6), [0, 1])
-        assert not ps.slack_cache_enabled
-        assert ps._wfl_cache == {}
-        assert ps.worst_failover_load(0) == pytest.approx(0.3)
-
-    def test_set_slack_cache_toggles_and_clears(self):
-        ps = fresh(gamma=2, servers=2)
-        ps.place_tenant(Tenant(0, 0.6), [0, 1])
-        ps.worst_failover_load(0)
-        assert ps._wfl_cache
-        ps.set_slack_cache(False)
-        assert ps._wfl_cache == {}
-        ps.set_slack_cache(True)
-        assert ps.worst_failover_load(0) == pytest.approx(0.3)
-
     def test_naive_shared_partners_matches_index(self):
         ps = fresh(gamma=3, servers=5)
         ps.place_tenant(Tenant(0, 0.3), [0, 1, 2])
@@ -290,11 +271,3 @@ class TestTopPartnerMemoization:
         assert ps.top_partner_recomputes == before
         ps.top_partners(1, 1)
         assert ps.top_partner_recomputes == before + 1
-
-    def test_disabled_slack_cache_counts_every_call(self):
-        ps = self._shared_scenario()
-        ps.set_slack_cache(False)
-        before = ps.top_partner_recomputes
-        ps.top_partners(0, 1)
-        ps.top_partners(0, 1)
-        assert ps.top_partner_recomputes == before + 2

@@ -6,7 +6,6 @@ simulate a crash simply never close explicitly.
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -37,6 +36,13 @@ class TestBindAndMeta:
         assert meta["algorithm"] == "bestfit"
         assert meta["gamma"] == 2
         assert meta["capacity"] == 1.0
+
+    def test_meta_rename_is_durable(self, store_factory, fs_events):
+        store = store_factory()
+        RobustBestFit(gamma=2).attach_store(store)
+        renamed = fs_events.index(("replace", "meta.json"))
+        assert fs_events.fsync_of(store.meta_path) in fs_events[:renamed]
+        assert fs_events.fsync_of(store.directory) in fs_events[renamed:]
 
     def test_rebind_with_different_gamma_rejected(self, store_factory):
         store = store_factory()
@@ -190,36 +196,22 @@ class TestCheckpointAndCompaction:
         assert [e.type for e in journal] == ["checkpoint", "compact"]
 
     def test_checkpoint_rename_is_durable_before_any_unlink(
-            self, tmp_path, store_factory, monkeypatch):
+            self, tmp_path, store_factory, monkeypatch, fs_events):
         store, algo = self._store_with_history(store_factory)
-        stat = (tmp_path / "st").stat()
-        store_dir = (stat.st_dev, stat.st_ino)
-        events = []
-        real_replace, real_fsync = os.replace, os.fsync
         real_unlink = Path.unlink
 
-        def replace(src, dst, *args, **kwargs):
-            events.append(("replace", Path(dst).name))
-            return real_replace(src, dst, *args, **kwargs)
-
-        def fsync(fd):
-            stat = os.fstat(fd)
-            if (stat.st_dev, stat.st_ino) == store_dir:
-                events.append(("fsync", "store dir"))
-            return real_fsync(fd)
-
         def unlink(path, *args, **kwargs):
-            events.append(("unlink", path.name))
+            fs_events.append(("unlink", path.name))
             return real_unlink(path, *args, **kwargs)
 
-        monkeypatch.setattr(os, "replace", replace)
-        monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(Path, "unlink", unlink)
+        fs_events.clear()
         _path, removed = store.checkpoint_and_compact(algo.placement)
         assert removed
-        first_unlink = [kind for kind, _name in events].index("unlink")
-        assert events.index(("replace", "checkpoint.json")) \
-            < events.index(("fsync", "store dir")) < first_unlink
+        first_unlink = [kind for kind, _name in fs_events].index("unlink")
+        assert fs_events.index(("replace", "checkpoint.json")) \
+            < fs_events.index(fs_events.fsync_of(tmp_path / "st")) \
+            < first_unlink
 
     def test_stale_checkpoint_over_compacted_wal_is_refused(
             self, tmp_path, store_factory):

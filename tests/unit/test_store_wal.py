@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, StoreCorruptionError
-from repro.store.wal import (FSYNC_NEVER, FSYNC_ROTATE, WalRecord,
-                             WriteAheadLog)
+from repro.store.wal import (FSYNC_ALWAYS, FSYNC_NEVER, FSYNC_ROTATE,
+                             WalRecord, WriteAheadLog)
 
 
 class TestAppendAndRead:
@@ -59,6 +59,27 @@ class TestSegmentRotation:
                          "wal-000000000003.jsonl",
                          "wal-000000000006.jsonl"]
         assert [r.seq for r in wal.records()] == list(range(7))
+
+    def test_new_segment_entries_are_durable_unless_never(
+            self, tmp_path, fs_events):
+        for policy in (FSYNC_ALWAYS, FSYNC_ROTATE, FSYNC_NEVER):
+            directory = tmp_path / policy
+            wal = WriteAheadLog(directory, fsync=policy,
+                                segment_records=4)
+            for i in range(10):
+                wal.append("op", {"i": i})
+            wal.close()
+            dir_fsync = fs_events.fsync_of(directory)
+            segments = wal.segments()
+            assert len(segments) == 3
+            if policy == FSYNC_NEVER:
+                assert dir_fsync not in fs_events
+                continue
+            # Segment k's directory entry is fsynced before the first
+            # fsync of its records.
+            for k, segment in enumerate(segments):
+                first = fs_events.index(fs_events.fsync_of(segment))
+                assert fs_events[:first].count(dir_fsync) == k + 1, policy
 
     def test_reader_skips_whole_segments_below_start(self, tmp_path):
         wal = WriteAheadLog(tmp_path, segment_records=4)

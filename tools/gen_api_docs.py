@@ -76,7 +76,6 @@ MODULES = [
     "repro.sim.elasticity",
     "repro.sim.sensitivity",
     "repro.sim.optgap",
-    "repro.sim.bench",
     "repro.sim.soak",
     "repro.sim.chaos",
     "repro.par.pool",

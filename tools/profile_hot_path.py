@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Profile the admission hot path, phase by phase.
 
-Runs one consolidation of the bench workload under cProfile and
-buckets every function's *self* time into the pipeline's four phases:
+Runs one gamma-2 consolidation of a seed-0 ``Uniform(0, 0.6]``
+sequence under cProfile and buckets every function's *self* time into
+the pipeline's four phases:
 
 * ``sync``        — candidate-index refresh/sync (re-deriving level
   and robust availability for the servers the dirty tracker reports);
@@ -16,7 +17,7 @@ buckets every function's *self* time into the pipeline's four phases:
 
 Self time (pstats ``tottime``) is used so the phases partition the
 run without double counting callers; everything unmatched lands in
-``other`` (tenant generation, dataclass plumbing, the bench driver).
+``other`` (tenant generation, dataclass plumbing, the consolidate loop).
 
 Usage::
 
@@ -35,7 +36,13 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
 
-from repro.sim.bench import FACTORIES, bench_sequence  # noqa: E402
+from repro.algorithms.base import make_algorithm  # noqa: E402
+from repro.workloads.distributions import UniformLoad  # noqa: E402
+from repro.workloads.sequences import generate_sequence  # noqa: E402
+
+#: The algorithms the tool profiles (CUBEFIT with its default 10
+#: size classes).
+ALGORITHMS = ("bestfit", "cubefit", "firstfit", "nextfit", "rfi")
 
 #: phase -> ((filename substring, function name), ...).  Order
 #: matters: the first phase whose pattern matches claims the function.
@@ -82,17 +89,17 @@ def main(argv=None):
         description="cProfile the admission hot path; report self "
                     "time per pipeline phase.")
     parser.add_argument("--name", default="bestfit",
-                        choices=sorted(FACTORIES),
-                        help="scenario to profile (default bestfit)")
+                        choices=ALGORITHMS,
+                        help="algorithm to profile (default bestfit)")
     parser.add_argument("--tenants", type=int, default=10000,
                         help="sequence length (default 10000)")
     parser.add_argument("--top", type=int, default=8,
                         help="functions listed per phase (default 8)")
     args = parser.parse_args(argv)
 
-    sequence = bench_sequence(args.tenants)
-    tenants = list(sequence)
-    algo = FACTORIES[args.name]()
+    tenants = list(generate_sequence(UniformLoad(0.6), args.tenants,
+                                     seed=0))
+    algo = make_algorithm(args.name, 2)
 
     profiler = cProfile.Profile()
     profiler.enable()
