@@ -10,7 +10,6 @@
 """
 
 import numpy as np
-import pytest
 
 from repro.algorithms.rfi import RFI
 from repro.core.cubefit import CubeFit

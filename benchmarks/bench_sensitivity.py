@@ -13,8 +13,6 @@ Observed shapes (defaults, seed 0):
   — exactly the paper's "more classes for more tenants" guidance.
 """
 
-import pytest
-
 from repro.sim.sensitivity import k_sensitivity, mu_sensitivity
 from repro.workloads.distributions import (NormalizedClients, UniformLoad,
                                            ZipfClients)

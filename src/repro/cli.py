@@ -498,26 +498,23 @@ def _run_fleet_status(args: argparse.Namespace) -> None:
           f"policy {meta['policy']}, seed {meta['seed']}, "
           f"budget {meta.get('max_servers_per_shard') or 'unbounded'}")
     tenants = servers = 0
-    clean = True
     for shard_id in range(shards):
         directory = shard_directory(args.store, shard_id)
         if not (directory / "meta.json").exists():
             print(f"  shard {shard_id:3d}: (no store yet) {directory}")
             continue
+        # recover() raises RobustnessViolation (exit 1) on a failed
+        # audit, so every shard printed here is audit-clean.
         state = recover(directory)
         tenants += state.placement.num_tenants
         servers += state.placement.num_servers
-        clean = clean and state.audit.ok
         print(f"  shard {shard_id:3d}: "
               f"{state.placement.num_tenants} tenants on "
               f"{state.placement.num_servers} servers; checkpoint seq "
               f"{state.checkpoint_seq} + {state.records_replayed} WAL "
-              f"record(s); audit "
-              f"{'OK' if state.audit.ok else 'VIOLATED'}")
+              f"record(s); audit OK")
     print(f"fleet:      {tenants} tenants on {servers} servers; "
-          f"audits {'all clean' if clean else 'VIOLATED'}")
-    if not clean:
-        raise SystemExit(1)
+          f"audits all clean")
 
 
 def _run_calibrate(args: argparse.Namespace) -> None:

@@ -43,6 +43,7 @@ from ..core.tenant import Tenant
 from ..errors import (ConfigurationError, FaultInjected, ReproError,
                       ShardDownError, ShardSaturatedError)
 from ..obs import active
+from ..store import diff_acked
 from .fleet import PlacementFleet
 
 PathLike = Union[str, Path]
@@ -198,18 +199,8 @@ def run_fleet_chaos(store_dir: PathLike,
                 _count(report.counts, "crash")
             elif op_index == recover_at and victim is not None:
                 controller = fleet.recover_shard(victim)
-                placement = controller.placement
-                if placement.num_tenants != len(acked_victim):
-                    report.divergences.append(
-                        f"recovered {placement.num_tenants} tenants, "
-                        f"acked {len(acked_victim)}")
-                for tid, servers in acked_victim.items():
-                    by_index = placement.tenant_servers(tid)
-                    got = [by_index[i] for i in sorted(by_index)]
-                    if got != servers:
-                        report.divergences.append(
-                            f"tenant {tid}: acked {servers}, "
-                            f"recovered {got}")
+                report.divergences.extend(
+                    diff_acked(controller.placement, acked_victim))
                 report.reconciled = fleet.reconcile()
                 _count(report.counts, "recover")
 

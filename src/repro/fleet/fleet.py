@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..core.tenant import Tenant
 from ..errors import (ConfigurationError, ShardDownError,
                       ShardSaturatedError, StoreCorruptionError)
-from ..store.snapshot import write_atomic
+from ..store.snapshot import make_directory, write_atomic
 from ..store.wal import FSYNC_ALWAYS
 from .router import POLICIES, PlacementRouter
 from .shard import ShardController, shard_directory
@@ -54,7 +54,7 @@ def write_fleet_meta(root: PathLike, **fields) -> Path:
     payload = {"format": FLEET_META_FORMAT,
                "version": FLEET_META_VERSION}
     payload.update(fields)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_directory(path.parent)
     write_atomic(path, json.dumps(payload, sort_keys=True, indent=1))
     return path
 

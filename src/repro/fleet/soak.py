@@ -61,6 +61,7 @@ from ..core.tenant import Tenant
 from ..errors import ConfigurationError, ShardSaturatedError
 from ..obs import LATENCY_BUCKETS, active
 from ..par import pmap
+from ..store import diff_acked
 from ..store.wal import FSYNC_ALWAYS
 from ..workloads.distributions import UniformLoad
 from ..workloads.sequences import generate_sequence, stream_tenants
@@ -297,20 +298,9 @@ def _run_shard(item, registry) -> ShardOutcome:
         nonlocal controller, crash_report
         controller.crash()
         controller = fresh()
-        placement = controller.placement
-        divergences: List[str] = []
-        if placement.num_tenants != len(acked):
-            divergences.append(
-                f"recovered {placement.num_tenants} tenants, "
-                f"acked {len(acked)}")
-        for tid, servers in acked.items():
-            by_index = placement.tenant_servers(tid)
-            got = [by_index[i] for i in sorted(by_index)]
-            if got != servers:
-                divergences.append(
-                    f"tenant {tid}: acked {servers}, recovered {got}")
-        crash_report = _crash_report(at, len(acked), divergences,
-                                     controller.recovered_state)
+        crash_report = _crash_report(
+            at, len(acked), diff_acked(controller.placement, acked),
+            controller.recovered_state)
 
     started = time.perf_counter()
     controller = fresh()

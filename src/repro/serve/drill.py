@@ -12,12 +12,19 @@ checks the contract the service advertises:
 * **Crash** (``SIGKILL``): every *acked* placement is durable — the
   WAL record was fsynced before the response frame went out — so the
   recovered state must contain every acked tenant on exactly the acked
-  servers.  Requests in flight when the kill landed may or may not
-  have committed; the drill tolerates unacked-but-committed tenants
-  (they are inside the driven id range) and nothing else.
+  servers.  The one request in flight when the kill landed may or may
+  not have committed; the drill tolerates that tenant and nothing
+  else.
 
-Either way the recovered state must pass the full robustness audit.
-This is the harness the chaos suite and the CI smoke job both call.
+Either way the recovered state must pass the full robustness audit
+(recovery refuses a state that does not).
+
+With ``resume_tenants > 0`` the drill goes on to a **restart phase**:
+an unarmed daemon on the same store adopts the recovered placement,
+takes ``resume_tenants`` more placements and is stopped with
+``SIGTERM``; a final recovery must then hold every tenant acked before
+and after the restart on exactly its acked servers.  This is the
+harness the chaos suite and the CI smoke jobs call.
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..errors import ConfigurationError, ProtocolError, ReproError
-from ..store import recover
+from ..errors import ConfigurationError, ReproError
+from ..store import diff_acked, recover
 from .client import ServeClient, wait_until_ready
 
 PathLike = Union[str, Path]
@@ -46,6 +53,14 @@ class DrillReport:
 
     mode: str
     store_dir: str
+    tenants: int = 200
+    #: Request the SIGKILL lands on (``sigkill`` drills).
+    kill_at: Optional[int] = None
+    #: Placements made against the restarted daemon (0: no restart).
+    resume_tenants: int = 0
+    #: ``REPRO_FAULTS`` spec armed inside the first daemon.
+    fault_spec: Optional[str] = None
+    checkpoint_interval: float = 0.2
     #: Tenant -> servers (replica-index order) for every acked place.
     acked: Dict[int, List[int]] = field(default_factory=dict)
     #: Requests refused or severed by the kill (never acked).
@@ -56,14 +71,38 @@ class DrillReport:
     records_replayed: int = 0
     checkpoint_seq: int = 0
     audit_ok: bool = False
+    #: Tenant -> servers for every place the restarted daemon acked.
+    resumed: Dict[int, List[int]] = field(default_factory=dict)
+    final_tenants: int = 0
+    final_audit_ok: bool = False
     failures: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
+    @property
+    def repro_line(self) -> str:
+        """One-liner replaying this drill against a scratch store."""
+        return ("python -c \"import tempfile, pathlib; "
+                "from repro.serve.drill import run_serve_drill; "
+                "t = pathlib.Path(tempfile.mkdtemp()); "
+                f"r = run_serve_drill(t / 'store', t / 'serve.sock', "
+                f"mode={self.mode!r}, tenants={self.tenants}, "
+                f"kill_at={self.kill_at}, "
+                f"resume_tenants={self.resume_tenants}, "
+                f"fault_spec={self.fault_spec!r}, "
+                f"checkpoint_interval={self.checkpoint_interval!r}); "
+                "print(r); raise SystemExit(0 if r.ok else 1)\"")
+
     def __str__(self) -> str:
         status = "OK" if self.ok else "FAILED"
+        restart = ""
+        if self.resume_tenants:
+            restart = (f"; resumed {len(self.resumed)} tenants on "
+                       f"restart, final recovery {self.final_tenants} "
+                       f"tenants, audit "
+                       f"{'clean' if self.final_audit_ok else 'VIOLATED'}")
         return (f"serve drill [{self.mode}] {status}: "
                 f"{len(self.acked)} acked (+{self.unacked} unacked), "
                 f"daemon exit {self.exit_code}, recovered "
@@ -72,8 +111,10 @@ class DrillReport:
                 f"(checkpoint seq {self.checkpoint_seq} + "
                 f"{self.records_replayed} replayed), audit "
                 f"{'clean' if self.audit_ok else 'VIOLATED'}"
+                + restart
                 + ("" if self.ok
-                   else "; " + "; ".join(self.failures)))
+                   else "; " + "; ".join(self.failures))
+                + f"; reproduce: {self.repro_line}")
 
 
 def _drill_load(index: int) -> float:
@@ -82,11 +123,8 @@ def _drill_load(index: int) -> float:
 
 
 def spawn_daemon(store_dir: PathLike, socket_path: PathLike,
-                 gamma: int = 2, checkpoint_interval: float = 0.0,
-                 queue_size: int = 64,
-                 fault_spec: Optional[str] = None,
-                 extra_env: Optional[Dict[str, str]] = None
-                 ) -> "subprocess.Popen":
+                 checkpoint_interval: float = 0.0,
+                 fault_spec: Optional[str] = None) -> "subprocess.Popen":
     """Start ``python -m repro serve`` on the given store and socket."""
     env = dict(os.environ)
     src_root = str(Path(__file__).resolve().parents[2])
@@ -97,13 +135,9 @@ def spawn_daemon(store_dir: PathLike, socket_path: PathLike,
         env["REPRO_FAULTS"] = fault_spec
     else:
         env.pop("REPRO_FAULTS", None)
-    if extra_env:
-        env.update(extra_env)
     command = [sys.executable, "-m", "repro", "serve",
                "--store", str(store_dir),
                "--socket", str(socket_path),
-               "--gamma", str(gamma),
-               "--queue-size", str(queue_size),
                "--checkpoint-interval", str(checkpoint_interval)]
     return subprocess.Popen(command, env=env,
                             stdout=subprocess.DEVNULL,
@@ -112,38 +146,34 @@ def spawn_daemon(store_dir: PathLike, socket_path: PathLike,
 
 def run_serve_drill(store_dir: PathLike, socket_path: PathLike,
                     mode: str = "sigterm", tenants: int = 200,
-                    kill_at: Optional[int] = None, gamma: int = 2,
+                    kill_at: Optional[int] = None,
                     checkpoint_interval: float = 0.2,
-                    queue_size: int = 64,
                     fault_spec: Optional[str] = None,
-                    ready_timeout: float = 20.0) -> DrillReport:
-    """Run one kill/restart drill; see the module docstring."""
+                    resume_tenants: int = 0) -> DrillReport:
+    """Run one kill/restart drill; see the module docstring.
+
+    ``fault_spec`` (the ``REPRO_FAULTS`` grammar) arms failpoints
+    inside the first daemon — e.g. ``"serve.checkpoint_timer=raise"``
+    drills the timer seam while traffic flows.
+    """
     if mode not in MODES:
         raise ConfigurationError(
             f"drill mode must be one of {MODES}, got {mode!r}")
     if tenants < 1:
         raise ConfigurationError(f"tenants must be >= 1, got {tenants}")
     store_dir = Path(store_dir)
-    report = DrillReport(mode=mode, store_dir=str(store_dir))
     if kill_at is None:
         kill_at = max(tenants // 2, 1)
+    report = DrillReport(
+        mode=mode, store_dir=str(store_dir), tenants=tenants,
+        kill_at=kill_at, resume_tenants=resume_tenants,
+        fault_spec=fault_spec, checkpoint_interval=checkpoint_interval)
 
-    daemon = spawn_daemon(store_dir, socket_path, gamma=gamma,
-                          checkpoint_interval=checkpoint_interval,
-                          queue_size=queue_size, fault_spec=fault_spec)
-    try:
-        wait_until_ready(socket_path, timeout=ready_timeout)
-        report.acked, report.unacked = _drive(
-            socket_path, daemon, tenants,
-            kill_at=kill_at if mode == "sigkill" else None)
-        if mode == "sigterm":
-            daemon.send_signal(signal.SIGTERM)
-        report.exit_code = daemon.wait(timeout=30.0)
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait(timeout=10.0)
-
+    report.exit_code, in_flight = _daemon_phase(
+        report.acked, store_dir, socket_path, range(1, tenants + 1),
+        checkpoint_interval, fault_spec,
+        kill_at=kill_at if mode == "sigkill" else None)
+    report.unacked = tenants - len(report.acked)
     if mode == "sigterm" and report.exit_code != 0:
         report.failures.append(
             f"graceful daemon exited {report.exit_code}, expected 0")
@@ -152,85 +182,105 @@ def run_serve_drill(store_dir: PathLike, socket_path: PathLike,
             f"killed daemon exited {report.exit_code}, expected "
             f"{-signal.SIGKILL}")
 
-    _check_recovery(report, store_dir, mode, tenants)
-    return report
-
-
-def _drive(socket_path: PathLike, daemon: "subprocess.Popen",
-           tenants: int, kill_at: Optional[int]
-           ) -> Tuple[Dict[int, List[int]], int]:
-    """Place ``tenants`` tenants, optionally SIGKILLing mid-traffic.
-
-    Returns ``(acked, unacked)``.  A ``sigkill`` drill severs the
-    connection under us — every error after the kill is the expected
-    shape of a dead daemon, counted unacked, and the loop reconnects
-    at most once to confirm the daemon is really gone.
-    """
-    acked: Dict[int, List[int]] = {}
-    unacked = 0
-    client = ServeClient(socket_path)
-    try:
-        for index in range(1, tenants + 1):
-            if kill_at is not None and index == kill_at:
-                daemon.send_signal(signal.SIGKILL)
-            try:
-                acked[index] = client.place_retry(
-                    index, _drill_load(index))
-            except (ProtocolError, ReproError, OSError):
-                unacked += 1
-                if kill_at is None or index < kill_at:
-                    raise  # not a kill artefact: a real failure
-                break  # daemon is dead; remaining requests never sent
-        unacked += max(tenants - (len(acked) + unacked), 0)
-    finally:
-        client.close()
-    return acked, unacked
-
-
-def _check_recovery(report: DrillReport, store_dir: Path, mode: str,
-                    tenants: int) -> None:
-    """Recover the store and enforce the durability contract."""
     try:
         state = recover(store_dir)
     except ReproError as err:
         report.failures.append(f"recovery failed: {err}")
-        return
-    placement = state.placement
-    report.recovered_tenants = placement.num_tenants
-    report.recovered_servers = placement.num_servers
-    report.records_replayed = state.records_replayed
-    report.checkpoint_seq = state.checkpoint_seq
-    report.audit_ok = state.audit.ok
-    if not state.audit.ok:
-        report.failures.append(
-            f"recovered placement failed the {state.failures}-failure "
-            f"audit (min slack {state.audit.min_slack:.6f})")
-
-    recovered_ids = set(placement.tenant_ids)
-    for tenant_id, servers in sorted(report.acked.items()):
-        by_index = placement.tenant_servers(tenant_id)
-        got = [by_index[i] for i in sorted(by_index)]
-        if got != servers:
-            report.failures.append(
-                f"acked tenant {tenant_id} recovered on {got}, "
-                f"was acked on {servers}")
-    extra = recovered_ids - set(report.acked)
-    if mode == "sigterm":
-        if extra:
-            report.failures.append(
-                f"graceful recovery has unacked tenants "
-                f"{sorted(extra)[:5]}...")
     else:
-        # A kill can commit a request whose ack never made it out —
-        # but only requests the drill actually sent.
-        stray = {t for t in extra if not 1 <= t <= tenants}
-        if stray:
+        report.recovered_tenants = state.placement.num_tenants
+        report.recovered_servers = state.placement.num_servers
+        report.records_replayed = state.records_replayed
+        report.checkpoint_seq = state.checkpoint_seq
+        report.audit_ok = state.audit.ok
+        report.failures.extend(
+            diff_acked(state.placement, report.acked, in_flight))
+    if resume_tenants > 0:
+        _restart(report, store_dir, socket_path, in_flight)
+    return report
+
+
+def _restart(report: DrillReport, store_dir: Path,
+             socket_path: PathLike, in_flight: Tuple[int, ...]) -> None:
+    """The restart phase: an unarmed daemon on the drilled store,
+    ``resume_tenants`` more placements, SIGTERM, final recovery."""
+    first = report.tenants + 1
+    try:
+        exit_code, _ = _daemon_phase(
+            report.resumed, store_dir, socket_path,
+            range(first, first + report.resume_tenants),
+            report.checkpoint_interval)
+        if exit_code != 0:
             report.failures.append(
-                f"recovered tenants never driven: {sorted(stray)[:5]}")
-        if len(extra) > 1:
-            report.failures.append(
-                f"{len(extra)} unacked tenants committed; at most the "
-                f"single in-flight request can be")
+                f"restarted daemon exited {exit_code} on SIGTERM, "
+                f"expected 0")
+    except ReproError as err:
+        report.failures.append(f"restart phase failed: {err}")
+    try:
+        state = recover(store_dir)
+    except ReproError as err:
+        report.failures.append(f"final recovery failed: {err}")
+        return
+    report.final_tenants = state.placement.num_tenants
+    report.final_audit_ok = state.audit.ok
+    report.failures.extend(
+        f"after restart: {divergence}" for divergence in diff_acked(
+            state.placement, {**report.acked, **report.resumed},
+            in_flight))
+
+
+def _daemon_phase(acked: Dict[int, List[int]], store_dir: Path,
+                  socket_path: PathLike, tenant_ids: Iterable[int],
+                  checkpoint_interval: float,
+                  fault_spec: Optional[str] = None,
+                  kill_at: Optional[int] = None
+                  ) -> Tuple[Optional[int], Tuple[int, ...]]:
+    """Spawn a daemon, place ``tenant_ids`` through it and end it:
+    SIGKILL at ``kill_at`` if given, else SIGTERM after the last.
+
+    Returns the daemon's exit status and the request in flight when
+    the kill landed (empty if none was).
+    """
+    daemon = spawn_daemon(store_dir, socket_path,
+                          checkpoint_interval=checkpoint_interval,
+                          fault_spec=fault_spec)
+    try:
+        wait_until_ready(socket_path, timeout=20.0)
+        in_flight = _drive(acked, socket_path, daemon, tenant_ids,
+                           kill_at)
+        if kill_at is None:
+            daemon.send_signal(signal.SIGTERM)
+        return daemon.wait(timeout=30.0), in_flight
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait(timeout=10.0)
+
+
+def _drive(acked: Dict[int, List[int]], socket_path: PathLike,
+           daemon: "subprocess.Popen", tenant_ids: Iterable[int],
+           kill_at: Optional[int]) -> Tuple[int, ...]:
+    """Place ``tenant_ids`` into ``acked``, SIGKILLing at ``kill_at``.
+
+    A ``sigkill`` drill severs the connection under us: the first
+    error after the kill is the expected shape of a dead daemon, its
+    request is returned as the one in flight, and the rest are never
+    sent.  Any other error is a real failure and propagates.
+    """
+    client = ServeClient(socket_path)
+    try:
+        for index in tenant_ids:
+            if index == kill_at:
+                daemon.send_signal(signal.SIGKILL)
+            try:
+                acked[index] = client.place_retry(
+                    index, _drill_load(index))
+            except (ReproError, OSError):
+                if kill_at is None or index < kill_at:
+                    raise  # not a kill artefact: a real failure
+                return (index,)
+    finally:
+        client.close()
+    return ()
 
 
 __all__ = ["MODES", "DrillReport", "run_serve_drill", "spawn_daemon"]

@@ -34,9 +34,9 @@ Failpoints
 ``serve.accept`` (drop a fresh connection), ``serve.handler`` (typed
 error or daemon crash per request), and ``serve.checkpoint_timer``
 (skip a checkpoint round or crash un-checkpointed) are compiled into
-the corresponding seams; the chaos harness
-(:func:`repro.sim.chaos.run_serve_chaos`) drills all three against a
-live server.
+the corresponding seams; the chaos conformance suite drills all three
+against a live server, and :func:`repro.serve.drill.run_serve_drill`
+runs a daemon with any of them armed through ``REPRO_FAULTS``.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from ..algorithms.base import OnlinePlacementAlgorithm
 from ..core.validation import audit
 from ..errors import (ConfigurationError, FaultInjected, ReproError,
                       SimulatedCrash)
-from .soak import SoakConfig, SoakResult, _SoakDriver
+from .soak import SoakConfig, SoakResult, _resume, _SoakDriver
 
 #: Failpoints the soak workload reaches on its own (the rest —
 #: par/cluster seams — are exercised by dedicated conformance tests,
@@ -236,11 +236,25 @@ class ChaosReport:
 
     @property
     def repro_line(self) -> str:
-        """CLI invocation reproducing this exact run."""
-        return (f"repro chaos --seed {self.seed} "
-                f"--ops {self.operations} "
-                f"--schedule '{format_schedule(self.schedule)}' "
-                f"--gamma {self.gamma}")
+        """Command reproducing this exact run: the ``repro chaos`` CLI
+        line for bestfit (the algorithm the CLI runs), else a
+        ``python -c`` line building the same algorithm by name."""
+        schedule = format_schedule(self.schedule)
+        if self.algorithm == "bestfit":
+            return (f"repro chaos --seed {self.seed} "
+                    f"--ops {self.operations} "
+                    f"--schedule '{schedule}' --gamma {self.gamma}")
+        return ("python -c \"import tempfile; "
+                "from repro.algorithms import make_algorithm; "
+                "from repro.obs import MetricsRegistry; "
+                "from repro.sim.chaos import ChaosConfig, "
+                "parse_schedule, run_chaos_soak; "
+                f"r = run_chaos_soak(lambda: make_algorithm("
+                f"{self.algorithm!r}, {self.gamma}), tempfile.mkdtemp(), "
+                f"ChaosConfig(operations={self.operations}, "
+                f"seed={self.seed}, schedule=parse_schedule("
+                f"{schedule!r})), obs=MetricsRegistry()); "
+                "print(r); raise SystemExit(0 if r.ok else 1)\"")
 
     def __str__(self) -> str:
         status = "CONFORMANT" if self.ok else \
@@ -310,15 +324,12 @@ def run_chaos_soak(factory: Callable[[], OnlinePlacementAlgorithm],
     fault escaping a store seam kill the controller, which is then
     recovered from disk, differential-checked against the pre/post
     operation states, and resumed on a fresh
-    :class:`~repro.algorithms.naive.RobustBestFit` via ``adopt`` (the
-    crashed algorithm may not be adoptable).
-
-    The resume algorithm choice means ``factory`` algorithms with
-    non-reconstructible internal state (CUBEFIT) are supported — their
-    run simply continues under bestfit after the first crash, exactly
-    like :func:`repro.sim.soak.run_soak_with_crash`.
+    :class:`~repro.algorithms.naive.RobustBestFit` by the same resume
+    step :func:`repro.sim.soak.run_soak_with_crash` uses — so
+    ``factory`` algorithms with non-reconstructible internal state
+    (CUBEFIT) are supported: their run continues under bestfit after
+    the first crash.
     """
-    from ..algorithms.naive import RobustBestFit
     from ..obs import active
     from ..store import DurableStore, diff_placements
 
@@ -422,16 +433,9 @@ def run_chaos_soak(factory: Callable[[], OnlinePlacementAlgorithm],
                                 f"matches neither pre nor post state; "
                                 f"vs-pre: {diffs_pre[:3]}; vs-post: "
                                 f"{diffs_post[:3]}")
-                    resume = RobustBestFit(
-                        gamma=recovered.gamma, failures=budget,
-                        capacity=recovered.capacity)
-                    if gated is not None:
-                        resume.attach_obs(gated)
-                    resume.adopt(recovered.placement)
-                    store = DurableStore(
-                        store_dir, segment_records=segment_records,
-                        obs=gated)
-                    resume.attach_store(store)
+                    resume = _resume(store_dir, recovered, budget,
+                                     gated, segment_records)
+                    store = resume.store
                     alive = reconcile_alive(driver, recovered.placement)
                     driver = _SoakDriver(
                         resume, soak_cfg, rng, result, gated,
@@ -489,145 +493,8 @@ def run_chaos_soak(factory: Callable[[], OnlinePlacementAlgorithm],
     return report
 
 
-@dataclass
-class ServeChaosReport:
-    """Outcome of a chaos drill against the live placement service.
-
-    One cycle: daemon up → traffic → kill (graceful or -9) → recover
-    and differential-check (the embedded :class:`DrillReport`) →
-    *restart on the same store* → more traffic → graceful stop →
-    final recovery and audit.  The service contract holds when every
-    phase is clean.
-    """
-
-    mode: str
-    tenants: int
-    resume_tenants: int
-    fault_spec: Optional[str]
-    checkpoint_interval: float
-    drill: object = None  # DrillReport (typed loosely: lazy import)
-    #: Tenants placed against the restarted (warm) daemon.
-    resumed: Dict[int, List[int]] = field(default_factory=dict)
-    final_tenants: int = 0
-    final_audit_ok: bool = False
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (not self.failures
-                and self.drill is not None and self.drill.ok)
-
-    @property
-    def repro_line(self) -> str:
-        """One-liner reproducing this drill against a scratch store."""
-        return ("python -c \"import tempfile, pathlib; "
-                "from repro.sim.chaos import run_serve_chaos; "
-                "t = pathlib.Path(tempfile.mkdtemp()); "
-                f"r = run_serve_chaos(t / 'store', t / 'serve.sock', "
-                f"mode={self.mode!r}, tenants={self.tenants}, "
-                f"resume_tenants={self.resume_tenants}, "
-                f"fault_spec={self.fault_spec!r}, "
-                f"checkpoint_interval={self.checkpoint_interval!r}); "
-                "print(r); raise SystemExit(0 if r.ok else 1)\"")
-
-    def __str__(self) -> str:
-        status = "CONFORMANT" if self.ok else \
-            f"{len(self.failures) + len(getattr(self.drill, 'failures', ()))} FAILURES"
-        return (f"ServeChaosReport[{self.mode}] {status}: "
-                f"{self.drill}; resumed {len(self.resumed)} tenants on "
-                f"restart, final recovery {self.final_tenants} tenants,"
-                f" audit {'clean' if self.final_audit_ok else 'VIOLATED'}"
-                f"; reproduce: {self.repro_line}")
-
-
-def run_serve_chaos(store_dir, socket_path, mode: str = "sigkill",
-                    tenants: int = 120, resume_tenants: int = 20,
-                    fault_spec: Optional[str] = None,
-                    checkpoint_interval: float = 0.1
-                    ) -> ServeChaosReport:
-    """Drill the placement *service* the way the soak drills the
-    controller: kill a real daemon mid-traffic, recover, restart on
-    the same store, and assert the durability contract end to end.
-
-    ``fault_spec`` (the ``REPRO_FAULTS`` grammar) arms failpoints
-    inside the daemon process — e.g.
-    ``"serve.checkpoint_timer=raise"`` drills the timer seam while
-    traffic flows.  The first kill follows ``mode``; the restart is
-    always stopped gracefully so the final state is exact.
-    """
-    import signal as _signal
-    from pathlib import Path
-
-    from ..serve.client import ServeClient, wait_until_ready
-    from ..serve.drill import (_drill_load, run_serve_drill,
-                               spawn_daemon)
-    from ..store import recover as store_recover
-
-    store_dir = Path(store_dir)
-    report = ServeChaosReport(mode=mode, tenants=tenants,
-                              resume_tenants=resume_tenants,
-                              fault_spec=fault_spec,
-                              checkpoint_interval=checkpoint_interval)
-    report.drill = run_serve_drill(
-        store_dir, socket_path, mode=mode, tenants=tenants,
-        checkpoint_interval=checkpoint_interval,
-        fault_spec=fault_spec)
-
-    # Restart on the surviving store: the daemon must adopt the
-    # recovered placement and keep serving.
-    daemon = spawn_daemon(store_dir, socket_path,
-                          checkpoint_interval=checkpoint_interval)
-    try:
-        wait_until_ready(socket_path, timeout=20.0)
-        client = ServeClient(socket_path)
-        try:
-            for index in range(tenants + 1, tenants + 1 + resume_tenants):
-                report.resumed[index] = client.place_retry(
-                    index, _drill_load(index))
-        finally:
-            client.close()
-        daemon.send_signal(_signal.SIGTERM)
-        exit_code = daemon.wait(timeout=30.0)
-        if exit_code != 0:
-            report.failures.append(
-                f"restarted daemon exited {exit_code} on SIGTERM, "
-                f"expected 0")
-    except ReproError as err:
-        report.failures.append(f"restart phase failed: {err}")
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait(timeout=10.0)
-
-    try:
-        state = store_recover(store_dir)
-    except ReproError as err:
-        report.failures.append(f"final recovery failed: {err}")
-        return report
-    report.final_tenants = state.placement.num_tenants
-    report.final_audit_ok = state.audit.ok
-    if not state.audit.ok:
-        report.failures.append(
-            "final recovered placement failed the robustness audit")
-    for tenant_id, servers in sorted(report.resumed.items()):
-        by_index = state.placement.tenant_servers(tenant_id)
-        got = [by_index[i] for i in sorted(by_index)]
-        if got != servers:
-            report.failures.append(
-                f"resumed tenant {tenant_id} recovered on {got}, "
-                f"was acked on {servers}")
-    for tenant_id, servers in sorted(report.drill.acked.items()):
-        by_index = state.placement.tenant_servers(tenant_id)
-        got = [by_index[i] for i in sorted(by_index)]
-        if got != servers:
-            report.failures.append(
-                f"pre-kill tenant {tenant_id} lost or moved across "
-                f"restart: {got} != {servers}")
-    return report
-
-
 __all__ = [
     "ChaosConfig", "ChaosReport", "FaultEvent", "SOAK_FAILPOINTS",
-    "ServeChaosReport", "default_schedule", "format_schedule",
-    "parse_schedule", "run_chaos_soak", "run_serve_chaos",
+    "default_schedule", "format_schedule", "parse_schedule",
+    "run_chaos_soak",
 ]

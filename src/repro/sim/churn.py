@@ -312,9 +312,8 @@ def run_churn_with_crash(factory: Callable[[],
     Returns a :class:`~repro.sim.soak.CrashRecoveryReport` whose
     ``result`` is the full run's :class:`ChurnResult`.
     """
-    from ..algorithms.naive import RobustBestFit
-    from ..store import DurableStore, diff_placements, recover
-    from .soak import CrashRecoveryReport
+    from ..store import DurableStore
+    from .soak import _crash_step
     cfg = config if config is not None else ChurnConfig()
     if crash_after_events is None:
         crash_after_events = max(
@@ -340,44 +339,15 @@ def run_churn_with_crash(factory: Callable[[],
 
     # Simulated crash: no close(), no final checkpoint — only what the
     # WAL committed survives.
-    pre_crash = algorithm.placement
-    recovered = recover(store_dir, obs=gated)
-    # Tags are checkpoint-durable only (see docs/durability.md);
-    # replica assignments, loads, and server inventory must be exact.
-    diffs = diff_placements(pre_crash, recovered.placement,
-                            compare_tags=False)
-    if sorted(state.alive) != recovered.placement.tenant_ids:
-        diffs = diffs + [
-            f"alive tenant set diverged: workload has "
-            f"{len(state.alive)} tenants, recovered placement has "
-            f"{len(recovered.placement.tenant_ids)}"]
-    budget = algorithm.guaranteed_failures
-    if resume_factory is None:
-        gamma = recovered.gamma
-        capacity = recovered.capacity
-
-        def resume_factory():
-            return RobustBestFit(gamma=gamma, failures=budget,
-                                 capacity=capacity)
-
-    resume = resume_factory()
-    if gated is not None:
-        resume.attach_obs(gated)
-    resume.adopt(recovered.placement)
-    reopened = DurableStore(store_dir, segment_records=segment_records,
-                            obs=gated)
-    resume.attach_store(reopened)
+    resume, report = _crash_step(store_dir, algorithm, state.alive,
+                                 gated, segment_records, resume_factory,
+                                 result, crash_after_events)
     if not finished:
         _drive_churn(resume, state, cfg, distribution, rng, result,
                      gated, checkpoint_every=checkpoint_every)
     _finish_churn(resume, state, cfg, result, gated)
-    reopened.close()
-    return CrashRecoveryReport(
-        result=result, crash_after=crash_after_events,
-        records_replayed=recovered.records_replayed,
-        checkpoint_seq=recovered.checkpoint_seq,
-        diffs=diffs, audit_ok=recovered.audit.ok,
-        min_slack=recovered.audit.min_slack)
+    resume.store.close()
+    return report
 
 
 def _sample(time: float,

@@ -18,7 +18,7 @@ Run via ``python -m repro soak`` or directly::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -337,6 +337,64 @@ class CrashRecoveryReport:
                 f"replayed={self.records_replayed}, {status})")
 
 
+def _resume(store_dir, recovered, budget: int, gated,
+            segment_records: int,
+            factory: Optional[Callable[[], OnlinePlacementAlgorithm]]
+            = None) -> OnlinePlacementAlgorithm:
+    """Adopt ``recovered`` into the resume controller and attach the
+    reopened :class:`~repro.store.DurableStore` under ``store_dir``.
+
+    The resume controller defaults to
+    :class:`~repro.algorithms.naive.RobustBestFit` at the recovered
+    gamma and capacity and the crashed run's failure ``budget``: the
+    algorithm that crashed may not be adoptable (CUBEFIT's cube state
+    dies with the process; only the placement is durable).
+    """
+    from ..algorithms.naive import RobustBestFit
+    from ..store import DurableStore
+    resume = factory() if factory is not None else RobustBestFit(
+        gamma=recovered.gamma, failures=budget,
+        capacity=recovered.capacity)
+    if gated is not None:
+        resume.attach_obs(gated)
+    resume.adopt(recovered.placement)
+    resume.attach_store(DurableStore(
+        store_dir, segment_records=segment_records, obs=gated))
+    return resume
+
+
+def _crash_step(store_dir, crashed: OnlinePlacementAlgorithm, alive,
+                gated, segment_records: int, factory, result,
+                crash_after: int
+                ) -> Tuple[OnlinePlacementAlgorithm, CrashRecoveryReport]:
+    """Drop ``crashed`` with no shutdown and bring up its successor.
+
+    Recovers the store, diffs the recovered placement against the
+    dropped controller's and its tenants against the workload's
+    ``alive`` ones, and resumes through :func:`_resume`.  Tags are
+    left out of the diff: they are checkpoint-durable only (see
+    docs/durability.md); replica assignments, loads, and server
+    inventory must be exact.
+    """
+    from ..store import diff_placements, recover
+    recovered = recover(store_dir, obs=gated)
+    diffs = diff_placements(crashed.placement, recovered.placement,
+                            compare_tags=False)
+    if sorted(alive) != recovered.placement.tenant_ids:
+        diffs.append(
+            f"alive tenant set diverged: workload has "
+            f"{len(alive)} tenants, recovered placement has "
+            f"{len(recovered.placement.tenant_ids)}")
+    resume = _resume(store_dir, recovered, crashed.guaranteed_failures,
+                     gated, segment_records, factory)
+    return resume, CrashRecoveryReport(
+        result=result, crash_after=crash_after,
+        records_replayed=recovered.records_replayed,
+        checkpoint_seq=recovered.checkpoint_seq,
+        diffs=diffs, audit_ok=recovered.audit.ok,
+        min_slack=recovered.audit.min_slack)
+
+
 def run_soak_with_crash(factory: Callable[[], OnlinePlacementAlgorithm],
                         store_dir,
                         config: Optional[SoakConfig] = None,
@@ -358,12 +416,9 @@ def run_soak_with_crash(factory: Callable[[], OnlinePlacementAlgorithm],
 
     The resumed controller defaults to
     :class:`~repro.algorithms.naive.RobustBestFit` at the same gamma
-    and failure budget — the algorithm that crashed may not be
-    adoptable (CUBEFIT's cube state dies with the process; only the
-    placement is durable).  Pass ``resume_factory`` to choose.
+    and failure budget; pass ``resume_factory`` to choose.
     """
-    from ..algorithms.naive import RobustBestFit
-    from ..store import DurableStore, diff_placements, recover
+    from ..store import DurableStore
     cfg = config if config is not None else SoakConfig()
     if crash_after is None:
         crash_after = cfg.operations // 2
@@ -390,33 +445,9 @@ def run_soak_with_crash(factory: Callable[[], OnlinePlacementAlgorithm],
     # shutdown — no close(), no final checkpoint.  Under the WAL's
     # default "always" fsync policy every committed record is already
     # durable, so nothing the stream applied is lost.
-    pre_crash = algorithm.placement
-    recovered = recover(store_dir, obs=gated)
-    # Tags are checkpoint-durable only (see docs/durability.md);
-    # replica assignments, loads, and server inventory must be exact.
-    diffs = diff_placements(pre_crash, recovered.placement,
-                            compare_tags=False)
-    budget = driver.budget
-    if resume_factory is None:
-        gamma = recovered.gamma
-        capacity = recovered.capacity
-
-        def resume_factory():
-            return RobustBestFit(gamma=gamma, failures=budget,
-                                 capacity=capacity)
-
-    resume = resume_factory()
-    if gated is not None:
-        resume.attach_obs(gated)
-    resume.adopt(recovered.placement)
-    if sorted(driver.alive) != recovered.placement.tenant_ids:
-        diffs = diffs + [
-            f"alive tenant set diverged: workload has "
-            f"{len(driver.alive)} tenants, recovered placement has "
-            f"{len(recovered.placement.tenant_ids)}"]
-    reopened = DurableStore(store_dir, segment_records=segment_records,
-                            obs=gated)
-    resume.attach_store(reopened)
+    resume, report = _crash_step(store_dir, algorithm, driver.alive,
+                                 gated, segment_records, resume_factory,
+                                 result, crash_after)
     resumed_driver = _SoakDriver(resume, cfg, rng, result, gated,
                                  checkpoint_every=checkpoint_every,
                                  alive=driver.alive,
@@ -424,10 +455,5 @@ def run_soak_with_crash(factory: Callable[[], OnlinePlacementAlgorithm],
     for op_index in range(crash_after, cfg.operations):
         resumed_driver.step(op_index)
     resumed_driver.finish()
-    reopened.close()
-    return CrashRecoveryReport(
-        result=result, crash_after=crash_after,
-        records_replayed=recovered.records_replayed,
-        checkpoint_seq=recovered.checkpoint_seq,
-        diffs=diffs, audit_ok=recovered.audit.ok,
-        min_slack=recovered.audit.min_slack)
+    resume.store.close()
+    return report

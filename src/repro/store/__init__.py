@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from .recovery import DurableStore, RecoveredState, recover
 from .snapshot import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION, Checkpoint,
-                       diff_placements, load_checkpoint, save_checkpoint)
+                       diff_acked, diff_placements, load_checkpoint,
+                       save_checkpoint)
 from .wal import (FSYNC_ALWAYS, FSYNC_NEVER, FSYNC_POLICIES, FSYNC_ROTATE,
                   WalRecord, WriteAheadLog)
 
@@ -18,6 +19,7 @@ __all__ = [
     "WriteAheadLog", "WalRecord",
     "FSYNC_ALWAYS", "FSYNC_ROTATE", "FSYNC_NEVER", "FSYNC_POLICIES",
     "Checkpoint", "save_checkpoint", "load_checkpoint",
-    "diff_placements", "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION",
+    "diff_placements", "diff_acked",
+    "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION",
     "DurableStore", "RecoveredState", "recover",
 ]

@@ -43,8 +43,9 @@ from ..core.validation import AuditReport, audit
 from ..errors import (ConfigurationError, PlacementError,
                       StoreCorruptionError)
 from ..obs import LATENCY_BUCKETS
-from .snapshot import load_checkpoint, save_checkpoint, write_atomic
-from .wal import FSYNC_ALWAYS, WriteAheadLog
+from .snapshot import (load_checkpoint, make_directory, save_checkpoint,
+                       write_atomic)
+from .wal import FSYNC_ALWAYS, FSYNC_NEVER, WriteAheadLog
 
 PathLike = Union[str, Path]
 
@@ -105,7 +106,7 @@ class DurableStore:
         if not create and not self.directory.is_dir():
             raise ConfigurationError(
                 f"store directory {self.directory} does not exist")
-        self.directory.mkdir(parents=True, exist_ok=True)
+        make_directory(self.directory, durable=fsync != FSYNC_NEVER)
         self.wal = WriteAheadLog(self.directory / WAL_DIRNAME,
                                  fsync=fsync,
                                  segment_records=segment_records)

@@ -31,7 +31,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, Sequence, Tuple,
+                    Union)
 
 from .. import faults
 from ..core.placement import PlacementState
@@ -110,6 +111,23 @@ def _fsync_directory(directory: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def make_directory(directory: Path, durable: bool = True) -> None:
+    """``mkdir -p directory``; with ``durable``, fsync the parent of
+    every directory it creates, so a power loss cannot drop the new
+    entry and everything written under it."""
+    try:
+        directory.mkdir()
+    except FileNotFoundError:
+        make_directory(directory.parent, durable)
+        directory.mkdir(exist_ok=True)
+    except FileExistsError:
+        if directory.is_dir():
+            return
+        raise
+    if durable:
+        _fsync_directory(directory.parent)
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -290,4 +308,30 @@ def diff_placements(a: PlacementState, b: PlacementState,
         if abs(la - lb) > load_tol:
             diffs.append(
                 f"tenant {tenant_id} load: {la!r} != {lb!r}")
+    return diffs
+
+
+def diff_acked(placement: PlacementState,
+               acked: Mapping[int, Sequence[int]],
+               in_flight: Iterable[int] = ()) -> List[str]:
+    """Divergences of a recovered placement from what its controller
+    acked (empty == the durability contract held).
+
+    ``acked`` maps each acked tenant to its servers in replica-index
+    order; each must be back on exactly those servers.  A recovered
+    tenant that was never acked is a divergence unless it is in
+    ``in_flight``: a request a kill severed after its WAL record
+    committed but before the ack went out.
+    """
+    diffs: List[str] = []
+    for tenant_id, servers in sorted(acked.items()):
+        by_index = placement.tenant_servers(tenant_id)
+        got = [by_index[i] for i in sorted(by_index)]
+        if got != list(servers):
+            diffs.append(f"tenant {tenant_id}: acked {list(servers)}, "
+                         f"recovered {got}")
+    tolerated = set(in_flight)
+    for tenant_id in placement.tenant_ids:
+        if tenant_id not in acked and tenant_id not in tolerated:
+            diffs.append(f"tenant {tenant_id}: recovered, never acked")
     return diffs

@@ -50,7 +50,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from .. import faults
 from ..errors import (ConfigurationError, SimulatedCrash,
                       StoreCorruptionError)
-from .snapshot import _fsync_directory
+from .snapshot import _fsync_directory, make_directory
 
 PathLike = Union[str, Path]
 
@@ -125,7 +125,7 @@ class WriteAheadLog:
             raise ConfigurationError(
                 f"segment_records must be >= 1, got {segment_records}")
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        make_directory(self.directory, durable=fsync != FSYNC_NEVER)
         self.fsync = fsync
         self.segment_records = segment_records
         self._file = None

@@ -1,7 +1,5 @@
 """Integration: full Section IV calibration against the simulated cluster."""
 
-import pytest
-
 from repro.cluster.calibration import (calibrate_load_model,
                                        find_boundary_clients, measure_p99)
 from repro.cluster.experiment import ClusterConfig

@@ -59,6 +59,40 @@ class TestSoakConformance:
         assert report.crashes >= 1
         _record_fired(report.fired)
 
+    def test_repro_line_rebuilds_the_algorithm_that_ran(
+            self, tmp_path, monkeypatch):
+        """``repro chaos`` always runs bestfit, so a cubefit run's line
+        is a ``python -c`` call that builds cubefit by name and passes
+        the same seed, ops and schedule."""
+        import shlex
+        import tempfile
+        from types import SimpleNamespace
+
+        import repro.sim.chaos as chaos_mod
+
+        config = ChaosConfig(operations=40, seed=3,
+                             schedule=parse_schedule("20:algo.place=raise"))
+        report = run_chaos_soak(lambda: CubeFit(gamma=2), tmp_path / "run",
+                                config, obs=MetricsRegistry())
+        assert report.ok, "\n".join(report.failures)
+        calls = []
+
+        def record(factory, store_dir, config, obs=None):
+            calls.append((factory(), config))
+            return SimpleNamespace(ok=True)
+
+        monkeypatch.setattr(chaos_mod, "run_chaos_soak", record)
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda: str(tmp_path))
+        python, flag, code = shlex.split(report.repro_line)
+        assert (python, flag) == ("python", "-c")
+        with pytest.raises(SystemExit) as stop:
+            exec(code, {})
+        assert stop.value.code == 0
+        [(algorithm, replayed)] = calls
+        assert isinstance(algorithm, CubeFit) and algorithm.gamma == 2
+        assert replayed == config
+        _record_fired(report.fired)
+
     def test_schedule_reproduces_identically(self, tmp_path):
         config = ChaosConfig(operations=120, seed=5)
         first = run_chaos_soak(lambda: RobustBestFit(gamma=2),

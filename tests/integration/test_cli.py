@@ -100,7 +100,7 @@ class TestCalibrateCommand:
 
 class TestExtensionCommands:
     def test_churn_runs_quickly(self, monkeypatch, capsys):
-        from repro.sim.churn import ChurnConfig, ChurnResult
+        from repro.sim.churn import ChurnResult
 
         def fake_run_churn(factory, dist, config):
             algo = factory()

@@ -4,8 +4,6 @@ A miniature version of Figure 5's pipeline — small enough for the test
 suite, structured identically to the benchmark.
 """
 
-import pytest
-
 from repro.cluster.experiment import ClusterConfig, ClusterExperiment
 from repro.cluster.failures import worst_overload_failures
 from repro.core.cubefit import CubeFit

@@ -1,7 +1,5 @@
 """Integration: workload generation -> placement -> audit -> comparison."""
 
-import pytest
-
 from repro import (CubeFit, RFI, RobustBestFit, audit, best_lower_bound)
 from repro.sim.runner import compare
 from repro.workloads.distributions import (NormalizedClients, UniformLoad,

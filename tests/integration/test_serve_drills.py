@@ -17,8 +17,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.serve.client import ServeClient, wait_until_ready
-from repro.serve.drill import run_serve_drill, spawn_daemon
-from repro.sim.chaos import ServeChaosReport, run_serve_chaos
+from repro.serve.drill import DrillReport, run_serve_drill, spawn_daemon
 from repro.store import recover
 
 
@@ -49,42 +48,45 @@ class TestServeDrills:
         assert report.audit_ok
 
     def test_serve_chaos_cycle_kill_restart_resume(self, tmp_path):
-        report = run_serve_chaos(tmp_path / "store",
+        report = run_serve_drill(tmp_path / "store",
                                  tmp_path / "serve.sock",
                                  mode="sigkill", tenants=40,
-                                 resume_tenants=8)
+                                 resume_tenants=8,
+                                 checkpoint_interval=0.1)
         assert report.ok, str(report)
         assert len(report.resumed) == 8
-        assert report.final_tenants == report.drill.recovered_tenants + 8
+        assert report.final_tenants == report.recovered_tenants + 8
         assert report.final_audit_ok
 
     def test_serve_chaos_with_armed_daemon_failpoint(self, tmp_path):
         """The daemon runs with ``serve.checkpoint_timer=raise`` armed
         through the environment: the timer round is skipped, traffic
         and recovery are unaffected."""
-        report = run_serve_chaos(
+        report = run_serve_drill(
             tmp_path / "store", tmp_path / "serve.sock",
             mode="sigterm", tenants=30, resume_tenants=5,
-            fault_spec="serve.checkpoint_timer=raise")
+            fault_spec="serve.checkpoint_timer=raise",
+            checkpoint_interval=0.1)
         assert report.ok, str(report)
 
     def test_serve_chaos_repro_line_passes_every_argument(
             self, tmp_path, monkeypatch):
-        """Executing the repro line calls run_serve_chaos with the
+        """Executing the repro line calls run_serve_drill with the
         reported run's arguments, the armed failpoint included."""
-        import repro.sim.chaos as chaos_mod
+        import repro.serve.drill as drill_mod
 
-        arguments = dict(mode="sigkill", tenants=120, resume_tenants=0,
+        arguments = dict(mode="sigkill", tenants=120, kill_at=60,
+                         resume_tenants=0,
                          fault_spec="serve.checkpoint_timer=raise",
                          checkpoint_interval=0.2)
-        line = ServeChaosReport(**arguments).repro_line
+        line = DrillReport(store_dir="unused", **arguments).repro_line
         calls = []
 
         def record(store_dir, socket_path, **kwargs):
             calls.append(kwargs)
             return SimpleNamespace(ok=True)
 
-        monkeypatch.setattr(chaos_mod, "run_serve_chaos", record)
+        monkeypatch.setattr(drill_mod, "run_serve_drill", record)
         monkeypatch.setattr(tempfile, "mkdtemp", lambda: str(tmp_path))
         python, flag, code = shlex.split(line)
         assert (python, flag) == ("python", "-c")

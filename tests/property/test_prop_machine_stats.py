@@ -1,6 +1,6 @@
 """Property-based tests for the PS machine and statistics helpers."""
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import (confidence_interval_95, mean, percentile,
                                   relative_difference_percent)

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.diagnostics import explain
 from repro.core.cubefit import CubeFit
 from repro.core.placement import PlacementState
-from repro.core.tenant import Tenant, make_tenants
+from repro.core.tenant import Tenant
 from repro.algorithms.rfi import RFI
 from repro.workloads.distributions import UniformLoad
 from repro.workloads.sequences import generate_sequence

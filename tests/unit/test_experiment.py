@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cluster.experiment import (ClusterConfig, ClusterExperiment,
-                                      ClusterResult)
+from repro.cluster.experiment import ClusterConfig, ClusterExperiment
 from repro.errors import ConfigurationError, SimulationError
 
 

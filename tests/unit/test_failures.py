@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.cluster.failures import (FailurePlan, project_client_counts,
+from repro.cluster.failures import (project_client_counts,
                                     worst_overload_failures)
 from repro.errors import ConfigurationError
 

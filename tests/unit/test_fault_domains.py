@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.cubefit import CubeFit, TAG_DOMAIN
+from repro.core.cubefit import CubeFit
 from repro.core.tenant import Tenant, make_tenants
 from repro.core.validation import audit
 

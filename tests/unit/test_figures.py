@@ -8,11 +8,10 @@ import pytest
 
 from repro.core.cubefit import CubeFit
 from repro.algorithms.rfi import RFI
-from repro.sim.figures import (FilledCluster, Table1Result, fill_cluster,
+from repro.sim.figures import (Table1Result, fill_cluster,
                                figure5_configurations, table1, theorem2)
 from repro.sim.scenarios import ScaleProfile
 from repro.workloads.distributions import DiscreteUniformClients
-from repro.workloads.loadmodel import DEFAULT_LOAD_MODEL
 from repro.errors import ConfigurationError
 
 

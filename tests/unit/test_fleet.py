@@ -19,7 +19,7 @@ from repro.errors import (ConfigurationError, ShardDownError,
                           ShardSaturatedError)
 from repro.fleet import (FLEET_META_NAME, FleetSoakConfig,
                          PlacementFleet, PlacementRouter,
-                         ShardController, read_fleet_meta, rebalance,
+                         ShardController, read_fleet_meta,
                          run_fleet_soak, run_streaming_soak,
                          shard_directory, stable_hash,
                          write_fleet_meta)
@@ -191,6 +191,16 @@ class TestFleetMeta:
         renamed = fs_events.index(("replace", FLEET_META_NAME))
         assert fs_events.fsync_of(path) in fs_events[:renamed]
         assert fs_events.fsync_of(tmp_path) in fs_events[renamed:]
+
+    def test_new_fleet_directories_are_durable(self, tmp_path,
+                                              fs_events):
+        root = tmp_path / "f"
+        with PlacementFleet(root, shards=2):
+            # The root's entry in its parent, then in the root the
+            # rename of fleet.json and the entry of each shard
+            # directory.
+            assert fs_events.count(fs_events.fsync_of(tmp_path)) == 1
+            assert fs_events.count(fs_events.fsync_of(root)) == 3
 
     def test_missing_meta_is_typed(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -1,7 +1,6 @@
 """Unit tests for the OPT lower bounds."""
 
 import numpy as np
-import pytest
 
 from repro.algorithms.lower_bound import (best_lower_bound,
                                           capacity_lower_bound,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms.naive import (RobustBestFit, RobustFirstFit,
                                     RobustNextFit)
-from repro.core.tenant import Tenant, make_tenants
+from repro.core.tenant import make_tenants
 from repro.core.validation import audit
 from repro.errors import ConfigurationError
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.optimum import (BRUTE_FORCE_MAX_TENANTS,
-                                    OptimumResult, SearchBudget,
+                                    SearchBudget,
                                     assignment_to_placement,
                                     branch_and_bound_optimum,
                                     brute_force_optimum,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cubefit import CubeFit
 from repro.algorithms.rfi import RFI
-from repro.sim.runner import ComparisonResult, compare, run_once
+from repro.sim.runner import compare, run_once
 from repro.sim.scenarios import (DEFAULT_SCALE, FULL_SCALE, FULL_SCALE_ENV,
                                  current_scale, figure6_distributions,
                                  table1_distributions)

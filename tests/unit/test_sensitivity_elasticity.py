@@ -7,8 +7,7 @@ from repro.algorithms.rfi import RFI
 from repro.core.cubefit import CubeFit
 from repro.core.tenant import Tenant
 from repro.sim.elasticity import ElasticityConfig, run_elasticity
-from repro.sim.sensitivity import (k_sensitivity, mu_sensitivity,
-                                   SensitivityCurve)
+from repro.sim.sensitivity import k_sensitivity, mu_sensitivity
 from repro.workloads.distributions import TraceLoads, UniformLoad
 from repro.errors import ConfigurationError
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.stats import (ConfidenceInterval, confidence_interval_95,
+from repro.analysis.stats import (confidence_interval_95,
                                   mean, p99, percentile,
                                   relative_difference_percent, sample_std)
 from repro.errors import ConfigurationError

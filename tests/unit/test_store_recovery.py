@@ -44,6 +44,35 @@ class TestBindAndMeta:
         assert fs_events.fsync_of(store.meta_path) in fs_events[:renamed]
         assert fs_events.fsync_of(store.directory) in fs_events[renamed:]
 
+    def test_new_directories_are_durable_before_any_record(
+            self, tmp_path, fs_events):
+        # A power loss must not drop the store: every directory it
+        # creates has its entry fsynced in its parent before the first
+        # WAL record is fsynced.
+        store = DurableStore(tmp_path / "a" / "st")
+        try:
+            algo = RobustBestFit(gamma=2)
+            algo.attach_store(store)
+            _run_ops(algo, count=5)
+            first_record = fs_events.index(
+                fs_events.fsync_of(store.wal.segments()[0]))
+            for parent in (tmp_path, tmp_path / "a", store.directory):
+                assert fs_events.fsync_of(parent) \
+                    in fs_events[:first_record], parent
+        finally:
+            store.close()
+
+    def test_new_directories_not_fsynced_under_never(self, tmp_path,
+                                                     fs_events):
+        store = DurableStore(tmp_path / "st", fsync="never")
+        try:
+            algo = RobustBestFit(gamma=2)
+            algo.attach_store(store)
+            _run_ops(algo, count=5)
+        finally:
+            store.close()
+        assert fs_events.fsync_of(tmp_path) not in fs_events
+
     def test_rebind_with_different_gamma_rejected(self, store_factory):
         store = store_factory()
         RobustBestFit(gamma=2).attach_store(store)

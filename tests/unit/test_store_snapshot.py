@@ -10,8 +10,9 @@ from repro.core.cubefit import CubeFit
 from repro.core.placement import PlacementState
 from repro.core.tenant import Replica, Tenant
 from repro.errors import ConfigurationError, StoreCorruptionError
-from repro.store.snapshot import (CHECKPOINT_VERSION, diff_placements,
-                                  load_checkpoint, save_checkpoint)
+from repro.store.snapshot import (CHECKPOINT_VERSION, diff_acked,
+                                  diff_placements, load_checkpoint,
+                                  save_checkpoint)
 
 
 def _standard_placement(gamma=2, capacity=1.0):
@@ -138,6 +139,41 @@ class TestDiffPlacements:
         a = _standard_placement(gamma=2)
         b = PlacementState(gamma=3)
         assert any("gamma" in d for d in diff_placements(a, b))
+
+
+#: What ``_standard_placement`` acked: tenant -> servers by replica.
+ACKED = {0: [0, 1], 1: [1, 2], 2: [0, 2]}
+
+
+class TestDiffAcked:
+    def test_exact_recovery_has_no_divergence(self):
+        assert diff_acked(_standard_placement(), ACKED) == []
+
+    def test_moved_replica_is_a_divergence(self):
+        placement = _standard_placement()
+        placement.remove_tenant(1)
+        placement.place_tenant(Tenant(1, 0.3), [2, 1])
+        assert diff_acked(placement, ACKED) == [
+            "tenant 1: acked [1, 2], recovered [2, 1]"]
+
+    def test_missing_tenant_is_a_divergence(self):
+        placement = _standard_placement()
+        placement.remove_tenant(2)
+        assert diff_acked(placement, ACKED) == [
+            "tenant 2: acked [0, 2], recovered []"]
+
+    def test_unacked_extra_is_a_divergence_unless_in_flight(self):
+        placement = _standard_placement()
+        placement.place_tenant(Tenant(5, 0.1), [0, 1])
+        assert diff_acked(placement, ACKED) == [
+            "tenant 5: recovered, never acked"]
+        assert diff_acked(placement, ACKED, in_flight=[4]) == [
+            "tenant 5: recovered, never acked"]
+        assert diff_acked(placement, ACKED, in_flight=(5,)) == []
+
+    def test_in_flight_tenant_may_also_be_absent(self):
+        assert diff_acked(_standard_placement(), ACKED,
+                          in_flight=(3,)) == []
 
 
 class TestMalformedCheckpoints:
