@@ -433,8 +433,8 @@ class ServerIndex:
         """Recompute level/availability for the given servers.
 
         Ineligible servers keep ``avail = -inf`` — the sentinel doubles
-        as the eligibility filter in :meth:`candidates`, which lets the
-        hot query path test a single float array.  Their true
+        as the eligibility filter in the candidate queries, which lets
+        the hot query path test a single float array.  Their true
         availability is recomputed the moment :meth:`set_eligible`
         promotes them.
         """
@@ -465,7 +465,7 @@ class ServerIndex:
         is recomputed from the placement if they ever become eligible —
         under CUBEFIT most mutations land on immature bins, so the skip
         saves the bulk of the failover-load recomputation.  Called
-        automatically by :meth:`candidates`, :meth:`level` and
+        automatically by the candidate queries, :meth:`level` and
         :meth:`avail`.
         """
         dirty = self._tracker.drain()
@@ -506,56 +506,36 @@ class ServerIndex:
                 ids = ids[ids != excluded_id]
         return ids
 
-    def candidates(self, min_avail: float,
-                   max_level: Optional[float] = None,
-                   exclude: Iterable[int] = ()) -> List[int]:
-        """Eligible servers with ``avail >= min_avail``, fullest first.
-
-        ``max_level`` additionally caps the current level (used for RFI's
-        interleaving threshold ``mu``).  ``exclude`` removes specific ids
-        (e.g. servers already hosting a sibling replica); any container
-        is accepted — list, tuple, set — and iterated once per call
-        (the typical exclusion is the ``gamma - 1`` sibling servers, so
-        a per-id vectorized compare beats ``np.isin``'s sort).
-        """
-        level, avail, size = self._arrays()
-        if size == 0:
-            return []
-        ids = self._survivors(level, avail, size, min_avail, max_level,
-                              exclude)
-        if len(ids) == 0:
-            return []
-        if len(ids) == 1:
-            # A single survivor needs no ordering pass.
-            return [int(ids[0])]
-        # Fullest (highest level) first; stable tie-break on id for
-        # determinism (``ids`` is ascending, so a stable single-key
-        # sort is equivalent to lexsort((ids, -level)) and cheaper).
-        order = np.argsort(-level[ids], kind="stable")
-        return ids[order].tolist()
-
     def iter_candidates(self, min_avail: float,
                         max_level: Optional[float] = None,
                         exclude: Iterable[int] = ()) -> Iterable[int]:
-        """Same ids in the same order as :meth:`candidates`, lazily.
+        """Eligible servers with ``avail >= min_avail``, fullest first,
+        lazily.
+
+        ``max_level`` additionally caps the current level (used for
+        RFI's interleaving threshold ``mu``).  ``exclude`` removes
+        specific ids (e.g. servers already hosting a sibling replica);
+        any container is accepted — list, tuple, set — and iterated
+        once per call (the typical exclusion is the ``gamma - 1``
+        sibling servers, so a per-id vectorized compare beats
+        ``np.isin``'s sort).
 
         First-feasible consumers (Best Fit scans, CUBEFIT's mature-bin
         search) typically accept one of the first few candidates; this
         pulls them by repeated masked argmax and only sorts the
         remainder if a scan runs deep, so the common probe never pays
-        the full fullest-first sort of a large survivor set.
+        the full fullest-first sort of a large survivor set.  Equal
+        levels go smallest id first either way: ``argmax`` returns the
+        *first* maximum, and over ascending ids that is exactly the
+        stable sort's tie-break.
 
-        Ordering identity with :meth:`candidates` holds because
-        ``argmax`` returns the *first* maximum — over ascending ids
-        that is exactly the stable sort's smallest-id tie-break.
-
-        The sync here is *eager* (same as :meth:`candidates`).  A
-        deferred-refresh variant — mask over stale availabilities, full
-        refresh only when the scan reaches a dirty server — was
-        prototyped and measured a net loss: fullest-first scans probe
-        exactly the servers the previous placement just dirtied (they
-        are the fullest), so ~97% of the deferred refreshes happened
-        anyway, with the per-server call and generator overhead on top.
+        The sync here is *eager*.  A deferred-refresh variant — mask
+        over stale availabilities, full refresh only when the scan
+        reaches a dirty server — was prototyped and measured a net
+        loss: fullest-first scans probe exactly the servers the
+        previous placement just dirtied (they are the fullest), so ~97%
+        of the deferred refreshes happened anyway, with the per-server
+        call and generator overhead on top.
         """
         level, avail, size = self._arrays()
         if size == 0:
@@ -589,12 +569,9 @@ class ServerIndex:
     def candidates_by_id(self, min_avail: float,
                          max_level: Optional[float] = None,
                          exclude: Iterable[int] = ()) -> List[int]:
-        """Filtered ids in ascending id order.
-
-        Identical to ``sorted(candidates(...))`` without paying for the
-        fullest-first sort it would immediately throw away (First Fit's
-        and the offline baseline's scan order).
-        """
+        """The ids :meth:`iter_candidates` filters, in ascending id
+        order (First Fit's scan order), without the fullest-first
+        sort."""
         level, avail, size = self._arrays()
         if size == 0:
             return []
@@ -660,68 +637,26 @@ def worst_shared_sum(placement: PlacementState, server_id: int,
     replicas that have not been placed yet).  This is the primitive
     behind the exact m-fit and RFI feasibility checks.
 
-    Hot-path shape: with no ``bumps`` the live shared-load mapping is
-    read in place (no copy), and when the failure budget covers every
-    partner the values are summed without building a heap.  When a
-    top-``failures`` selection is needed it comes from the placement's
-    memoized :meth:`~repro.core.placement.PlacementState.top_partners`
-    (invalidated through the dirty tracker), so repeated ambiguous-band
-    probes against an unchanged server re-rank only the handful of
-    bumped values instead of re-heaping the whole partner set.
+    The bumps are merged into a copy of the live shared-load mapping:
+    existing partners are bumped in place, fresh ones follow in bump
+    order.  When every partner survives the cut the merged values are
+    summed in that order and the extras added as their own sum;
+    otherwise the top ``failures`` of the merged values and the extras
+    are summed in descending order.  Without bumps the mapping is read
+    in place, so an unbumped probe copies nothing.
     """
     shared: Dict[int, float] = placement.shared_partners_view(server_id)
     if failures <= 0:
         return 0.0
-    if not bumps:
-        survivors = len(shared) + len(extra_partners)
-        if survivors == 0:
-            return 0.0
-        if survivors <= failures:
-            return sum(shared.values()) + sum(extra_partners)
-        top = placement.top_partners(server_id, failures)
-        if not extra_partners:
-            return sum(value for value, _ in top)
-        pool = [value for value, _ in top]
-        pool.extend(extra_partners)
-        return sum(heapq.nlargest(failures, pool))
-    new_partners = 0
-    for other in bumps:
-        if other != server_id and other not in shared:
-            new_partners += 1
-    survivors = len(shared) + new_partners + len(extra_partners)
-    if survivors == 0:
-        return 0.0
-    if survivors <= failures:
-        # Every partner survives the cut: reproduce the merged-mapping
-        # summation order bit for bit — existing partners in shared
-        # order (bumped in place), fresh bump partners in bump order,
-        # then the extras as their own accumulation.
-        total = 0.0
-        for other, value in shared.items():
-            extra = bumps.get(other)
-            if extra is not None and other != server_id:
-                total += value + extra
-            else:
-                total += value
+    if bumps:
+        shared = dict(shared)
         for other, extra in bumps.items():
-            if other != server_id and other not in shared:
-                total += extra
-        return total + sum(extra_partners)
-    # Ranking pass.  Any non-bumped partner appearing in the bumped
-    # multiset's top-``failures`` must already sit in the memoized
-    # top-``failures`` of the unbumped mapping (bumps only increase
-    # values), so the cached selection minus the bumped entries, plus
-    # the bumped values and the extras, is an exhaustive pool — the
-    # resulting value multiset (hence the descending float sum) is
-    # identical to heaping the full merged mapping.
-    top = placement.top_partners(server_id, failures)
-    pool = [value for value, other in top if other not in bumps]
-    for other, extra in bumps.items():
-        if other == server_id:
-            continue
-        pool.append(shared.get(other, 0.0) + extra)
-    pool.extend(extra_partners)
-    return sum(heapq.nlargest(failures, pool))
+            if other != server_id:
+                shared[other] = shared.get(other, 0.0) + extra
+    values = shared.values()
+    if len(values) + len(extra_partners) <= failures:
+        return sum(values, 0.0) + sum(extra_partners)
+    return sum(heapq.nlargest(failures, [*values, *extra_partners]))
 
 
 def exact_robust_after_placement(placement: PlacementState,

@@ -5,10 +5,10 @@
 consumes it.  :class:`MixedGammaFirstFit` is
 :class:`~repro.algorithms.naive.RobustFirstFit` with one change: each
 tenant materializes ``plan[tenant_id]`` replicas instead of the fleet
-default.  The selection rule, feasibility check, and index discipline
-are call-for-call identical — the regression suite pins an all-equal
-plan to the single-gamma path bit-for-bit (same packing fingerprint,
-same observability journal).
+default (it overrides only ``tenant_gamma``).  The selection rule,
+feasibility check, and index discipline are RobustFirstFit's own — the
+regression suite pins an all-equal plan to the single-gamma path
+bit-for-bit (same packing fingerprint, same observability journal).
 
 The robustness budget is a single fleet-wide ``failures`` (default: the
 largest gamma in play minus one).  Tenants with small gammas still
@@ -28,15 +28,13 @@ log that cannot be replayed.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
-from ..core.tenant import Replica, Tenant
 from ..errors import ConfigurationError
-from .base import robust_after_placement
-from .naive import _CheckedBaseline
+from .naive import RobustFirstFit
 
 
-class MixedGammaFirstFit(_CheckedBaseline):
+class MixedGammaFirstFit(RobustFirstFit):
     """Lowest-id-feasible placement honouring a per-tenant gamma plan.
 
     ``plan`` maps tenant ids to replication factors; tenants not in the
@@ -71,31 +69,6 @@ class MixedGammaFirstFit(_CheckedBaseline):
     def tenant_gamma(self, tenant_id: int) -> int:
         """The replication factor the plan assigns ``tenant_id``."""
         return self.plan.get(tenant_id, self.gamma)
-
-    def _place(self, tenant: Tenant) -> Tuple[int, ...]:
-        g = self.tenant_gamma(tenant.tenant_id)
-        chosen: List[int] = []
-        for replica in tenant.replicas(g):
-            target = self._select_mixed(replica, chosen, g)
-            if target is None:
-                target = self._open_server()
-            self.placement.place(replica, target)
-            chosen.append(target)
-        self._after_tenant(chosen)
-        return tuple(chosen)
-
-    def _select_mixed(self, replica: Replica, chosen: List[int],
-                      g: int) -> Optional[int]:
-        candidates = self._index.candidates_by_id(min_avail=replica.load,
-                                                  exclude=chosen)
-        future = g - len(chosen) - 1
-        for sid in candidates:
-            if robust_after_placement(self.placement, sid, replica.load,
-                                      chosen, failures=self.failures,
-                                      future_siblings=future,
-                                      obs=self._obs):
-                return sid
-        return None
 
     def describe(self) -> dict:
         info = super().describe()

@@ -3,17 +3,24 @@
 These algorithms are *robust-by-check* variants of the classic online
 bin-packing heuristics: each placement is admitted only if the packing
 stays robust against ``failures`` simultaneous server failures under the
-exact shared-load accounting (the same check RFI and CUBEFIT's first
-stage use), but the *selection rule* is the classic one:
+exact shared-load accounting (the same check CUBEFIT's first stage
+uses), but the *selection rule* is the classic one:
 
 * :class:`RobustFirstFit` — lowest-id feasible server;
 * :class:`RobustNextFit` — only the most recently used servers are
   considered; otherwise open new ones;
-* :class:`RobustBestFit` — fullest feasible server (RFI without the
-  interleaving threshold).
+* :class:`RobustBestFit` — fullest feasible server.
 
 They bound how much of CUBEFIT's advantage comes from the cube structure
-versus merely checking robustness.
+versus merely checking robustness.  Every algorithm that admits replica
+by replica through this check is a :class:`_CheckedBaseline` subclass
+that supplies only its selection rule: besides the three above,
+:class:`~repro.algorithms.rfi.RFI` (Best Fit at one failure, with the
+``mu`` level cap on the primary replica),
+:class:`~repro.algorithms.offline.OfflineFirstFitDecreasing` (First Fit
+over the input sorted by load) and
+:class:`~repro.algorithms.mixed.MixedGammaFirstFit` (First Fit with a
+per-tenant gamma).
 """
 
 from __future__ import annotations
@@ -46,10 +53,16 @@ class _CheckedBaseline(OnlinePlacementAlgorithm):
     def guaranteed_failures(self) -> int:
         return self.failures
 
+    def tenant_gamma(self, tenant_id: int) -> int:
+        """The replication factor of ``tenant_id``: the fleet's gamma."""
+        return self.gamma
+
     def _place(self, tenant: Tenant) -> Tuple[int, ...]:
+        replicas = tenant.replicas(self.tenant_gamma(tenant.tenant_id))
         chosen: List[int] = []
-        for replica in tenant.replicas(self.gamma):
-            target = self._select(replica, chosen)
+        for replica in replicas:
+            target = self._select(replica, chosen,
+                                  len(replicas) - len(chosen) - 1)
             if target is None:
                 target = self._open_server()
             self.placement.place(replica, target)
@@ -62,18 +75,22 @@ class _CheckedBaseline(OnlinePlacementAlgorithm):
         self._index.track(server.server_id)
         return server.server_id
 
-    def _feasible(self, sid: int, replica: Replica,
-                  chosen: List[int]) -> bool:
-        # Anticipate unplaced sibling replicas: they may land on fresh
-        # servers, whose shared-load bump no later check would guard.
-        future = self.gamma - len(chosen) - 1
+    def _feasible(self, sid: int, replica: Replica, chosen: List[int],
+                  future: int) -> bool:
         return robust_after_placement(self.placement, sid, replica.load,
                                       chosen, failures=self.failures,
                                       future_siblings=future,
                                       obs=self._obs)
 
-    def _select(self, replica: Replica,
-                chosen: List[int]) -> Optional[int]:
+    def _select(self, replica: Replica, chosen: List[int],
+                future: int) -> Optional[int]:
+        """The server for ``replica``, or None to open one.
+
+        ``chosen`` holds the servers of the tenant's replicas placed so
+        far; ``future`` counts its replicas still unplaced after this
+        one.  The check must anticipate them: they may land on fresh
+        servers, whose shared-load bump no later check would guard.
+        """
         raise NotImplementedError
 
     def _adopted(self, placement) -> None:
@@ -99,12 +116,11 @@ class RobustBestFit(_CheckedBaseline):
 
     name = "bestfit"
 
-    def _select(self, replica: Replica,
-                chosen: List[int]) -> Optional[int]:
+    def _select(self, replica: Replica, chosen: List[int], future: int,
+                max_level: Optional[float] = None) -> Optional[int]:
         return self._index.select(
             replica.load, chosen, min_avail=replica.load,
-            exclude=chosen,
-            future_siblings=self.gamma - len(chosen) - 1,
+            max_level=max_level, exclude=chosen, future_siblings=future,
             obs=self._obs)
 
 
@@ -114,12 +130,11 @@ class RobustFirstFit(_CheckedBaseline):
 
     name = "firstfit"
 
-    def _select(self, replica: Replica,
-                chosen: List[int]) -> Optional[int]:
-        candidates = self._index.candidates_by_id(min_avail=replica.load,
-                                                  exclude=chosen)
-        for sid in candidates:
-            if self._feasible(sid, replica, chosen):
+    def _select(self, replica: Replica, chosen: List[int],
+                future: int) -> Optional[int]:
+        for sid in self._index.candidates_by_id(min_avail=replica.load,
+                                                exclude=chosen):
+            if self._feasible(sid, replica, chosen, future):
                 return sid
         return None
 
@@ -145,12 +160,12 @@ class RobustNextFit(_CheckedBaseline):
                 f"window must be >= gamma, got {self.window}")
         self._recent: Deque[int] = deque(maxlen=self.window)
 
-    def _select(self, replica: Replica,
-                chosen: List[int]) -> Optional[int]:
+    def _select(self, replica: Replica, chosen: List[int],
+                future: int) -> Optional[int]:
         for sid in self._recent:
             if sid in chosen:
                 continue
-            if self._feasible(sid, replica, chosen):
+            if self._feasible(sid, replica, chosen, future):
                 return sid
         return None
 

@@ -25,16 +25,19 @@ Concretely, per replica (in replica order):
 * otherwise a new server is opened.
 
 RFI reserves for only **one** failure — the reason it violates SLAs under
-two simultaneous failures in the paper's Figure 5.
+two simultaneous failures in the paper's Figure 5.  That makes it
+:class:`~repro.algorithms.naive.RobustBestFit` at ``failures=1`` with the
+``mu`` cap on the primary replica.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..core.tenant import Replica, Tenant
+from ..core.tenant import Replica
 from ..errors import ConfigurationError
-from .base import OnlinePlacementAlgorithm, ServerIndex, register
+from .base import register
+from .naive import RobustBestFit
 
 #: Interleaving threshold recommended by the RTP paper and used in the
 #: CUBEFIT paper's experiments.
@@ -42,7 +45,7 @@ DEFAULT_MU = 0.85
 
 
 @register
-class RFI(OnlinePlacementAlgorithm):
+class RFI(RobustBestFit):
     """Robust best-Fit with Interleaving, tolerant to a single failure."""
 
     name = "rfi"
@@ -53,51 +56,18 @@ class RFI(OnlinePlacementAlgorithm):
             raise ConfigurationError(
                 f"RFI's single-failure reserve requires gamma >= 2, "
                 f"got {gamma}")
-        super().__init__(gamma=gamma, capacity=capacity)
+        # RFI's reserve budget is one failure, regardless of gamma.
+        super().__init__(gamma=gamma, failures=1, capacity=capacity)
         if not (0.0 < mu <= 1.0):
             raise ConfigurationError(
                 f"mu must be in (0, 1], got {mu}")
         self.mu = mu
-        # RFI's reserve budget is one failure, regardless of gamma.
-        self._index = ServerIndex(self.placement, failures=1)
 
-    @property
-    def guaranteed_failures(self) -> int:
-        return 1
-
-    def _place(self, tenant: Tenant) -> Tuple[int, ...]:
-        chosen: List[int] = []
-        for replica in tenant.replicas(self.gamma):
-            target = self._find_server(replica, chosen,
-                                       is_primary=not chosen)
-            if target is None:
-                target = self._open_server()
-            self.placement.place(replica, target)
-            chosen.append(target)
-        return tuple(chosen)
-
-    def _open_server(self) -> int:
-        server = self.placement.open_server()
-        self._index.track(server.server_id)
-        return server.server_id
-
-    def _adopted(self, placement) -> None:
-        # RFI's only internal state is its candidate index (one-failure
-        # reserve); rebuild it over the adopted placement.
-        self._index = ServerIndex(placement, failures=1)
-        for sid in placement.server_ids:
-            self._index.track(sid)
-
-    def _find_server(self, replica: Replica, chosen: List[int],
-                     is_primary: bool) -> Optional[int]:
-        """Fullest feasible server for ``replica`` (Best Fit), or None."""
+    def _select(self, replica: Replica, chosen: List[int],
+                future: int) -> Optional[int]:
         max_level = (self.mu * self.placement.capacity - replica.load
-                     if is_primary else None)
-        return self._index.select(
-            replica.load, chosen, min_avail=replica.load,
-            max_level=max_level, exclude=chosen,
-            future_siblings=self.gamma - len(chosen) - 1,
-            obs=self._obs)
+                     if not chosen else None)
+        return super()._select(replica, chosen, future, max_level)
 
     def describe(self) -> dict:
         info = super().describe()

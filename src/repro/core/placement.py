@@ -146,12 +146,6 @@ class PlacementState:
         self._tenant_loads: Dict[int, float] = {}
         #: server id -> {failure budget -> worst-case failover load}
         self._wfl_cache: Dict[int, Dict[int, float]] = {}
-        #: server id -> {count -> top-``count`` (value, partner) pairs}
-        self._top_cache: Dict[int, Dict[int, List[Tuple[float, int]]]] = {}
-        #: Times :meth:`top_partners` had to recompute a top set (the
-        #: memoization regression counter; probes between mutations of
-        #: a server must not grow it).
-        self.top_partner_recomputes = 0
         #: live consumer handles fed by every mutation
         self._trackers: List[DirtyTracker] = []
         self.shadow_audit = _shadow_audit_default() \
@@ -168,10 +162,8 @@ class PlacementState:
         """
         ids = server_ids if type(server_ids) is tuple else tuple(server_ids)
         wfl_pop = self._wfl_cache.pop
-        top_pop = self._top_cache.pop
         for sid in ids:
             wfl_pop(sid, None)
-            top_pop(sid, None)
         for tracker in self._trackers:
             tracker._dirty.update(ids)
 
@@ -405,44 +397,7 @@ class PlacementState:
         values = self._shared[server_id].values()
         if len(values) <= f:
             return sum(values)
-        return sum(v for v, _ in self.top_partners(server_id, f))
-
-    def top_partners(self, server_id: int,
-                     count: int) -> List[Tuple[float, int]]:
-        """The ``count`` largest shared loads as ``(value, partner)``
-        pairs, value-descending.
-
-        Memoized per ``(server, count)`` and invalidated through the
-        same :meth:`_touch` stream as the worst-failover cache, so
-        repeated ambiguous-band probes of an unmutated server reuse one
-        top-set instead of re-heaping the partner dict every time
-        (:attr:`top_partner_recomputes` counts the recomputations).
-        """
-        shared = self._shared[server_id]
-        per_server = self._top_cache.get(server_id)
-        if per_server is None:
-            per_server = self._top_cache[server_id] = {}
-        entry = per_server.get(count)
-        if entry is None:
-            self.top_partner_recomputes += 1
-            entry = per_server[count] = self._top_of(shared, count)
-        return entry
-
-    @staticmethod
-    def _top_of(shared: Dict[int, float],
-                count: int) -> List[Tuple[float, int]]:
-        if count <= 0 or not shared:
-            return []
-        if count == 1:
-            best_id, best = None, float("-inf")
-            for other, value in shared.items():
-                if value > best:
-                    best, best_id = value, other
-            return [(best, best_id)]
-        pairs = ((value, other) for other, value in shared.items())
-        if len(shared) <= count:
-            return sorted(pairs, key=lambda pair: -pair[0])
-        return heapq.nlargest(count, pairs)
+        return sum(heapq.nlargest(f, values))
 
     # ------------------------------------------------------------------
     # Shadow audit (falsifiability of the slack index)

@@ -70,11 +70,9 @@ class DrillReport:
     recovered_servers: int = 0
     records_replayed: int = 0
     checkpoint_seq: int = 0
-    audit_ok: bool = False
     #: Tenant -> servers for every place the restarted daemon acked.
     resumed: Dict[int, List[int]] = field(default_factory=dict)
     final_tenants: int = 0
-    final_audit_ok: bool = False
     failures: List[str] = field(default_factory=list)
 
     @property
@@ -101,16 +99,14 @@ class DrillReport:
         if self.resume_tenants:
             restart = (f"; resumed {len(self.resumed)} tenants on "
                        f"restart, final recovery {self.final_tenants} "
-                       f"tenants, audit "
-                       f"{'clean' if self.final_audit_ok else 'VIOLATED'}")
+                       f"tenants")
         return (f"serve drill [{self.mode}] {status}: "
                 f"{len(self.acked)} acked (+{self.unacked} unacked), "
                 f"daemon exit {self.exit_code}, recovered "
                 f"{self.recovered_tenants} tenants on "
                 f"{self.recovered_servers} servers "
                 f"(checkpoint seq {self.checkpoint_seq} + "
-                f"{self.records_replayed} replayed), audit "
-                f"{'clean' if self.audit_ok else 'VIOLATED'}"
+                f"{self.records_replayed} replayed)"
                 + restart
                 + ("" if self.ok
                    else "; " + "; ".join(self.failures))
@@ -191,7 +187,6 @@ def run_serve_drill(store_dir: PathLike, socket_path: PathLike,
         report.recovered_servers = state.placement.num_servers
         report.records_replayed = state.records_replayed
         report.checkpoint_seq = state.checkpoint_seq
-        report.audit_ok = state.audit.ok
         report.failures.extend(
             diff_acked(state.placement, report.acked, in_flight))
     if resume_tenants > 0:
@@ -221,7 +216,6 @@ def _restart(report: DrillReport, store_dir: Path,
         report.failures.append(f"final recovery failed: {err}")
         return
     report.final_tenants = state.placement.num_tenants
-    report.final_audit_ok = state.audit.ok
     report.failures.extend(
         f"after restart: {divergence}" for divergence in diff_acked(
             state.placement, {**report.acked, **report.resumed},

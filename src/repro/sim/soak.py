@@ -319,19 +319,16 @@ class CrashRecoveryReport:
     #: Differences between the pre-crash state and the recovered state
     #: (:func:`repro.store.diff_placements`); empty means identical.
     diffs: List[str] = field(default_factory=list)
-    #: Whether the recovered state passed the robustness audit.
-    audit_ok: bool = True
-    #: Minimum slack of the recovered state's audit.
+    #: Minimum slack of the recovered state's audit (recovery raises
+    #: :class:`~repro.errors.RobustnessViolation` when it fails).
     min_slack: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return not self.diffs and self.audit_ok
+        return not self.diffs
 
     def __str__(self) -> str:
-        status = "OK" if self.ok else \
-            (f"{len(self.diffs)} state diffs" if self.diffs
-             else "audit FAILED")
+        status = "OK" if self.ok else f"{len(self.diffs)} state diffs"
         return (f"CrashRecoveryReport(crash_after={self.crash_after}, "
                 f"checkpoint_seq={self.checkpoint_seq}, "
                 f"replayed={self.records_replayed}, {status})")
@@ -391,8 +388,7 @@ def _crash_step(store_dir, crashed: OnlinePlacementAlgorithm, alive,
         result=result, crash_after=crash_after,
         records_replayed=recovered.records_replayed,
         checkpoint_seq=recovered.checkpoint_seq,
-        diffs=diffs, audit_ok=recovered.audit.ok,
-        min_slack=recovered.audit.min_slack)
+        diffs=diffs, min_slack=recovered.audit.min_slack)
 
 
 def run_soak_with_crash(factory: Callable[[], OnlinePlacementAlgorithm],

@@ -77,5 +77,4 @@ def test_crash_at_any_prefix_recovers_identically(
         crash_after=crash_after, checkpoint_every=checkpoint_every,
         segment_records=8)
     assert report.diffs == []
-    assert report.audit_ok
     assert report.ok and report.result.ok

@@ -124,7 +124,7 @@ class TestServerIndex:
         ps.place_tenant(Tenant(0, 0.4), [0, 1])   # levels .2/.2/0
         ps.place_tenant(Tenant(1, 0.6), [1, 2])   # levels .2/.5/.3
         idx.refresh([0, 1, 2])
-        assert idx.candidates(min_avail=0.01) == [1, 2, 0]
+        assert list(idx.iter_candidates(min_avail=0.01)) == [1, 2, 0]
 
     def test_min_avail_filters(self):
         ps = placed(gamma=2, servers=2)
@@ -133,8 +133,8 @@ class TestServerIndex:
         idx.track(1)
         ps.place_tenant(Tenant(0, 0.9), [0, 1])  # avail = 1-.45-.45 = .1
         idx.refresh([0, 1])
-        assert idx.candidates(min_avail=0.2) == []
-        assert set(idx.candidates(min_avail=0.05)) == {0, 1}
+        assert list(idx.iter_candidates(min_avail=0.2)) == []
+        assert set(idx.iter_candidates(min_avail=0.05)) == {0, 1}
 
     def test_max_level_filter(self):
         ps = placed(gamma=2, servers=2)
@@ -143,29 +143,31 @@ class TestServerIndex:
         idx.track(1)
         ps.place(Tenant(0, 0.8).replicas(2)[0], 0)
         idx.refresh([0])
-        assert idx.candidates(min_avail=0.0, max_level=0.3) == [1]
+        assert list(idx.iter_candidates(min_avail=0.0,
+                                        max_level=0.3)) == [1]
 
     def test_exclude(self):
         ps = placed(gamma=2, servers=2)
         idx = ServerIndex(ps, failures=1)
         idx.track(0)
         idx.track(1)
-        assert idx.candidates(min_avail=0.0, exclude=[0]) == [1]
+        assert list(idx.iter_candidates(min_avail=0.0,
+                                        exclude=[0])) == [1]
 
     def test_eligibility_gating(self):
         ps = placed(gamma=2, servers=2)
         idx = ServerIndex(ps, failures=1)
         idx.track(0, eligible=False)
         idx.track(1, eligible=True)
-        assert idx.candidates(min_avail=0.0) == [1]
+        assert list(idx.iter_candidates(min_avail=0.0)) == [1]
         idx.set_eligible(0, True)
-        assert set(idx.candidates(min_avail=0.0)) == {0, 1}
+        assert set(idx.iter_candidates(min_avail=0.0)) == {0, 1}
 
     def test_untracked_servers_invisible(self):
         ps = placed(gamma=2, servers=2)
         idx = ServerIndex(ps, failures=1)
         idx.track(0)
-        assert idx.candidates(min_avail=0.0) == [0]
+        assert list(idx.iter_candidates(min_avail=0.0)) == [0]
 
     def test_growth_beyond_initial_capacity(self):
         ps = PlacementState(gamma=2)
@@ -174,7 +176,7 @@ class TestServerIndex:
             s = ps.open_server()
             idx.track(s.server_id)
         assert idx.level(1400) == 0.0
-        assert len(idx.candidates(min_avail=0.5)) == 1500
+        assert len(list(idx.iter_candidates(min_avail=0.5))) == 1500
 
     @pytest.mark.parametrize("container", [list, tuple, set, frozenset])
     def test_exclude_accepts_any_container(self, container):
@@ -182,8 +184,8 @@ class TestServerIndex:
         idx = ServerIndex(ps, failures=1)
         for sid in (0, 1, 2):
             idx.track(sid)
-        assert idx.candidates(min_avail=0.0,
-                              exclude=container((0, 2))) == [1]
+        assert list(idx.iter_candidates(
+            min_avail=0.0, exclude=container((0, 2)))) == [1]
 
     def test_single_survivor_skips_sort(self):
         # The single-survivor fast path must return the same answer the
@@ -193,8 +195,9 @@ class TestServerIndex:
         for sid in (0, 1, 2):
             idx.track(sid)
         ps.place_tenant(Tenant(0, 0.9), [0, 1])  # only 2 stays wide open
-        assert idx.candidates(min_avail=0.6) == [2]
-        assert idx.candidates(min_avail=0.0, exclude={0, 2}) == [1]
+        assert list(idx.iter_candidates(min_avail=0.6)) == [2]
+        assert list(idx.iter_candidates(min_avail=0.0,
+                                        exclude={0, 2})) == [1]
 
     def test_ineligible_servers_defer_recomputation(self):
         """Mutations while ineligible must not be lost: flipping a server
@@ -207,13 +210,13 @@ class TestServerIndex:
         idx.track(2, eligible=True)
         ps.place_tenant(Tenant(0, 0.6), [1, 2])   # mutates ineligible 1
         ps.place_tenant(Tenant(1, 0.2), [1, 0])   # ... twice
-        assert 1 not in idx.candidates(min_avail=0.0)
+        assert 1 not in list(idx.iter_candidates(min_avail=0.0))
         idx.set_eligible(1, True)
         # level reflects both placements, avail the true slack.
         assert idx.level(1) == pytest.approx(0.4)
         expected = 1.0 - 0.4 - ps.worst_failover_load(1, 1)
         assert idx.avail(1) == pytest.approx(expected)
-        assert 1 in idx.candidates(min_avail=0.0)
+        assert 1 in list(idx.iter_candidates(min_avail=0.0))
 
     def test_avail_and_level_exact_while_ineligible(self):
         """Reads bypass the eligibility sentinel: an ineligible server
@@ -233,10 +236,10 @@ class TestServerIndex:
         idx = ServerIndex(ps, failures=1)
         idx.track(0)
         idx.track(1)
-        before = idx.candidates(min_avail=0.0)
+        before = list(idx.iter_candidates(min_avail=0.0))
         idx.set_eligible(0, True)   # no-op: already eligible
         idx.set_eligible(1, False)
         idx.set_eligible(1, False)  # no-op: already ineligible
-        assert idx.candidates(min_avail=0.0) == [0]
+        assert list(idx.iter_candidates(min_avail=0.0)) == [0]
         idx.set_eligible(1, True)
-        assert sorted(idx.candidates(min_avail=0.0)) == sorted(before)
+        assert sorted(idx.iter_candidates(min_avail=0.0)) == sorted(before)

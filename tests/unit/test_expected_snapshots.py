@@ -11,23 +11,27 @@ snippet in this file's docstring)::
     theorem2_table(theorem2()).to_csv("benchmarks/expected/theorem2.csv")
     EOF
 
-The golden packings pin the exact replica-to-server assignment each of
-the five algorithms (gamma 2) produces for a seed-0 ``Uniform(0, 0.6]``
-sequence: any change to candidate ordering, candidate indexing or
-feasibility screening that moves even one replica changes the
-per-server tenant-set hash.  The server count and the tenant sets fix
-the mean utilization too.  Tier-1 checks the 2k-tenant packings.  CI
-checks CUBEFIT and RFI at 100k tenants, where the candidate index scans
-40k-44k servers per arrival (about 13 s each on a 2-vCPU machine).
-Regenerate ``benchmarks/expected/packings_2k.json`` and
+The golden packings pin the exact replica-to-server assignment each
+algorithm produces for a seed-0 ``Uniform(0, 0.6]`` sequence: any
+change to candidate ordering, candidate indexing or feasibility
+screening that moves even one replica changes the per-server
+tenant-set hash.  The server count and the tenant sets fix the mean
+utilization too.  Tier-1 checks the 2k-tenant packings of the five
+online algorithms and offline FFD at gamma 2, where every top-``f``
+sum has ``f = 1``, and at gamma 3 (keys ending ``@g3``), where the
+exact sum ranks bumped partners; plus mixed-gamma First Fit under a
+seeded plan of gammas 1-3.  CI checks CUBEFIT and RFI at 100k
+tenants, where the candidate index scans 40k-44k servers per arrival
+(about 13 s each on a 2-vCPU machine).  Regenerate
+``benchmarks/expected/packings_2k.json`` and
 ``benchmarks/expected/packings_100k.json`` consciously via::
 
     PYTHONPATH=src python - <<'EOF'
     import json
     from tests.unit.test_expected_snapshots import (
-        PACKING_ALGORITHMS, _packing_snapshot)
-    print(json.dumps({name: _packing_snapshot(name, 2000)
-                      for name in PACKING_ALGORITHMS}, indent=2))
+        PACKING_KEYS, _packing_snapshot)
+    print(json.dumps({key: _packing_snapshot(key, 2000)
+                      for key in PACKING_KEYS}, indent=2))
     EOF
 
     PYTHONPATH=src python - <<'EOF'
@@ -51,11 +55,13 @@ replication factor, so any change must be a conscious one.  Regenerate
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from repro.algorithms.base import make_algorithm
+from repro.algorithms.mixed import MixedGammaFirstFit
 from repro.analysis.report import theorem2_table
 from repro.sim.figures import theorem2
 from repro.workloads.distributions import UniformLoad
@@ -70,6 +76,14 @@ EXPECTED_PACKINGS_100K = _EXPECTED_DIR / "packings_100k.json"
 #: CUBEFIT runs with its default ``num_classes`` (10).
 PACKING_ALGORITHMS = ("cubefit", "rfi", "bestfit", "firstfit", "nextfit")
 
+#: Snapshot keys of the 2k golden packings: ``name`` at gamma 2,
+#: ``name@g3`` at gamma 3.
+PACKING_KEYS = (
+    *PACKING_ALGORITHMS,
+    *(f"{name}@g3" for name in PACKING_ALGORITHMS),
+    "offline-ffd", "offline-ffd@g3", "mixed-firstfit",
+)
+
 
 def test_theorem2_sweep_matches_snapshot():
     result = theorem2()
@@ -80,11 +94,24 @@ def test_theorem2_sweep_matches_snapshot():
     )
 
 
-def _packing_snapshot(name: str, tenants: int) -> dict:
-    """Server count + a digest of each server's tenant set after
-    ``name`` (gamma 2) consolidates the seed-0 ``Uniform(0, 0.6]``
+def _packing_algorithm(key: str, tenants: int):
+    """The algorithm a snapshot key names: ``name`` or ``name@gN``.
+    ``mixed-firstfit`` gets a seed-0 plan of gammas 1-3 over the
+    sequence's tenant ids."""
+    name, _, gamma = key.partition("@g")
+    gamma = int(gamma or 2)
+    if name == "mixed-firstfit":
+        rng = random.Random(0)
+        plan = {tid: rng.randint(1, 3) for tid in range(tenants)}
+        return MixedGammaFirstFit(plan, gamma=gamma)
+    return make_algorithm(name, gamma)
+
+
+def _packing_snapshot(key: str, tenants: int) -> dict:
+    """Server count + a digest of each server's tenant set after the
+    algorithm ``key`` names consolidates the seed-0 ``Uniform(0, 0.6]``
     sequence of ``tenants`` tenants."""
-    algo = make_algorithm(name, 2)
+    algo = _packing_algorithm(key, tenants)
     algo.consolidate(generate_sequence(UniformLoad(0.6), tenants, seed=0))
     placement = algo.placement
     digest = hashlib.sha256()
@@ -99,11 +126,11 @@ def _packing_snapshot(name: str, tenants: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", PACKING_ALGORITHMS)
-def test_golden_packing_matches_snapshot(name):
+@pytest.mark.parametrize("key", PACKING_KEYS)
+def test_golden_packing_matches_snapshot(key):
     expected = json.loads(EXPECTED_PACKINGS.read_text())
-    assert _packing_snapshot(name, 2000) == expected[name], (
-        f"the {name} packing for the 2k-tenant sequence changed; "
+    assert _packing_snapshot(key, 2000) == expected[key], (
+        f"the {key} packing for the 2k-tenant sequence changed; "
         "if intentional, regenerate benchmarks/expected/"
         "packings_2k.json (snippet in this file's docstring)"
     )

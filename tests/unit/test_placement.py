@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.algorithms.base import robust_after_placement
 from repro.core.placement import PlacementState
 from repro.core.tenant import Tenant, Replica
 from repro.errors import ConfigurationError, PlacementError
@@ -230,44 +229,3 @@ class TestSlackIndex:
         monkeypatch.delenv("REPRO_SHADOW_AUDIT")
         assert not PlacementState(gamma=2).shadow_audit
         assert PlacementState(gamma=2, shadow_audit=True).shadow_audit
-
-
-class TestTopPartnerMemoization:
-    """Ambiguous-band probes lean on the placement's memoized
-    top-partner sets, so repeated probes between mutations must not
-    recompute them."""
-
-    def _shared_scenario(self):
-        ps = fresh(servers=4)
-        ps.place_tenant(Tenant(0, 0.35), [0, 1])
-        ps.place_tenant(Tenant(1, 0.3), [0, 2])
-        ps.place_tenant(Tenant(2, 0.25), [0, 3])
-        return ps
-
-    def test_repeated_probes_do_not_recompute(self):
-        ps = self._shared_scenario()
-        # Prime the memo: one ambiguous-band probe per server.
-        for sid in ps.server_ids:
-            robust_after_placement(ps, sid, 0.3, (1,), 1,
-                                   future_siblings=1)
-        primed = ps.top_partner_recomputes
-        assert primed > 0
-        for _ in range(5):
-            for sid in ps.server_ids:
-                robust_after_placement(ps, sid, 0.3, (1,), 1,
-                                       future_siblings=1)
-        assert ps.top_partner_recomputes == primed, (
-            "repeated probes between mutations recomputed the "
-            "top-partner selection")
-
-    def test_mutation_invalidates_only_touched_servers(self):
-        ps = self._shared_scenario()
-        ps.top_partners(0, 1)
-        ps.top_partners(3, 1)
-        before = ps.top_partner_recomputes
-        ps.place_tenant(Tenant(3, 0.1), [1, 2])  # touches 1, 2 (+0 via
-        # shared partnership), leaves 3's memo intact
-        ps.top_partners(3, 1)
-        assert ps.top_partner_recomputes == before
-        ps.top_partners(1, 1)
-        assert ps.top_partner_recomputes == before + 1

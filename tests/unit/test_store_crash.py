@@ -29,7 +29,6 @@ class TestSoakCrash:
             tmp_path / "st", config=SOAK, crash_after=45,
             checkpoint_every=20)
         assert report.diffs == []
-        assert report.audit_ok
         assert report.ok and report.result.ok
 
     @pytest.mark.parametrize("crash_after", [1, 13, 44, 89])
@@ -106,7 +105,6 @@ class TestChurnCrash:
             tmp_path / "st", config=config, crash_after_events=30,
             checkpoint_every=12)
         assert report.diffs == []
-        assert report.audit_ok
         assert report.ok
         assert report.result.final_robust
         assert report.result.arrivals > 0

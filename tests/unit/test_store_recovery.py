@@ -15,7 +15,8 @@ from repro.algorithms.naive import (RobustBestFit, RobustFirstFit,
 from repro.algorithms.rfi import RFI
 from repro.core.cubefit import CubeFit
 from repro.core.tenant import Tenant
-from repro.errors import ConfigurationError, StoreCorruptionError
+from repro.errors import (ConfigurationError, RobustnessViolation,
+                          StoreCorruptionError)
 from repro.obs import EventJournal, MetricsRegistry
 from repro.store import DurableStore, diff_placements, recover
 from repro.store import recovery as store_recovery
@@ -119,6 +120,20 @@ class TestReplay:
         algo.attach_store(store_factory())
         _run_ops(algo, count=8)
         assert recover(tmp_path / "st").audit.ok
+
+    def test_recover_refuses_a_state_that_fails_its_audit(
+            self, tmp_path, store_factory):
+        # Two gamma-2 tenants of load 0.8 on [0, 1] and [0, 2] fit every
+        # server's capacity, but server 0 holds 0.8 with a 0.4 partner,
+        # so one failure overloads it: recovery raises instead of
+        # returning a state whose audit failed.
+        store = store_factory()
+        RobustBestFit(gamma=2).attach_store(store)
+        store.log_open_through(3)
+        store.log_place(0, 0.8, [0, 1])
+        store.log_place(1, 0.8, [0, 2])
+        with pytest.raises(RobustnessViolation):
+            recover(tmp_path / "st")
 
     def test_recover_rejects_gamma_tampering(self, tmp_path,
                                              store_factory):

@@ -53,7 +53,6 @@ PHASE_PATTERNS = (
     )),
     ("screen", (
         ("base.py", "iter_candidates"),
-        ("base.py", "candidates"),
         ("base.py", "candidates_by_id"),
         ("base.py", "_survivors"),
         ("base.py", "select"),
@@ -61,7 +60,7 @@ PHASE_PATTERNS = (
     ("exact", (
         ("base.py", "worst_shared_sum"),
         ("base.py", "robust_after_placement"),
-        ("base.py", "_feasible"),
+        ("naive.py", "_feasible"),
     )),
     ("bookkeeping", (
         ("placement.py", "place"),
