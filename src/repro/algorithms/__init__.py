@@ -2,7 +2,6 @@
 
 from .base import (OnlinePlacementAlgorithm, ServerIndex, register,
                    make_algorithm, available_algorithms,
-                   exact_robust_after_placement,
                    robust_after_placement, worst_shared_sum)
 from .rfi import RFI, DEFAULT_MU
 from .naive import RobustBestFit, RobustFirstFit, RobustNextFit
@@ -22,7 +21,6 @@ from .mixed import MixedGammaFirstFit
 __all__ = [
     "OnlinePlacementAlgorithm", "ServerIndex", "register",
     "make_algorithm", "available_algorithms", "robust_after_placement",
-    "exact_robust_after_placement",
     "worst_shared_sum", "RFI", "DEFAULT_MU", "RobustBestFit",
     "RobustFirstFit", "RobustNextFit", "capacity_lower_bound",
     "weight_lower_bound", "best_lower_bound",

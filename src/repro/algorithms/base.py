@@ -28,12 +28,6 @@ from ..core.tenant import LOAD_EPS, Replica, Tenant
 from ..errors import ConfigurationError, FaultInjected
 from ..obs import LATENCY_BUCKETS
 
-#: Safety margin on the screened feasibility bounds (see
-#: :func:`robust_after_placement`): decisions closer than this to a
-#: cached bound fall into the ambiguous band and are settled by the
-#: exact top-``f`` sum.
-SCREEN_MARGIN = 1e-9
-
 
 class OnlinePlacementAlgorithm(ABC):
     """Interface all placement algorithms implement.
@@ -567,7 +561,6 @@ class ServerIndex:
             yield int(ids[position])
 
     def candidates_by_id(self, min_avail: float,
-                         max_level: Optional[float] = None,
                          exclude: Iterable[int] = ()) -> List[int]:
         """The ids :meth:`iter_candidates` filters, in ascending id
         order (First Fit's scan order), without the fullest-first
@@ -575,7 +568,7 @@ class ServerIndex:
         level, avail, size = self._arrays()
         if size == 0:
             return []
-        ids = self._survivors(level, avail, size, min_avail, max_level,
+        ids = self._survivors(level, avail, size, min_avail, None,
                               exclude)
         return ids.tolist()
 
@@ -600,9 +593,8 @@ class ServerIndex:
 
     def select(self, replica_load: float, chosen: Sequence[int], *,
                min_avail: float, max_level: Optional[float] = None,
-               exclude: Iterable[int] = (), extra_reserve: float = 0.0,
-               future_siblings: int = 0, obs=None,
-               accept=None) -> Optional[int]:
+               exclude: Iterable[int] = (), future_siblings: int = 0,
+               obs=None, accept=None) -> Optional[int]:
         """First candidate (fullest-first) that passes the robustness
         probe, or None.
 
@@ -618,8 +610,8 @@ class ServerIndex:
             if accept is not None and not accept(sid):
                 continue
             if robust_after_placement(placement, sid, replica_load,
-                                      chosen, failures, extra_reserve,
-                                      future_siblings, obs=obs):
+                                      chosen, failures, future_siblings,
+                                      obs=obs):
                 return sid
         return None
 
@@ -659,13 +651,10 @@ def worst_shared_sum(placement: PlacementState, server_id: int,
     return sum(heapq.nlargest(failures, [*values, *extra_partners]))
 
 
-def exact_robust_after_placement(placement: PlacementState,
-                                 server_id: int,
-                                 replica_load: float,
-                                 chosen: Sequence[int],
-                                 failures: int,
-                                 extra_reserve: float = 0.0,
-                                 future_siblings: int = 0) -> bool:
+def robust_after_placement(placement: PlacementState, server_id: int,
+                           replica_load: float, chosen: Sequence[int],
+                           failures: int, future_siblings: int = 0,
+                           obs=None) -> bool:
     """Exact feasibility of placing a replica on ``server_id``.
 
     Checks that, with the replica added and shared loads bumped against
@@ -674,9 +663,6 @@ def exact_robust_after_placement(placement: PlacementState,
     * ``server_id`` keeps ``load + worst_failover <= capacity``,
     * every server in ``chosen`` keeps the same property (their shared
       load against ``server_id`` grows by ``replica_load``).
-
-    ``extra_reserve`` demands additional headroom on ``server_id`` itself
-    (used by policies that hold space back for future growth).
 
     ``future_siblings`` anticipates that this tenant still has that many
     replicas to place, each of which will add a shared load of
@@ -687,16 +673,21 @@ def exact_robust_after_placement(placement: PlacementState,
     stage rolls the whole tenant back on any failure, so its final check
     sees all shares and it may pass 0.
 
-    This is the reference semantics; the hot paths call
-    :func:`robust_after_placement`, which screens with cached-slack
-    bounds and falls through to these exact sums only in the ambiguous
-    band.  The two must agree on every input.
+    ``obs`` (a :class:`~repro.obs.MetricsRegistry`) counts every call
+    in the ``feasibility.exact`` counter.
     """
+    if faults.FAILPOINTS._active:
+        # Inlined emptiness guard: this is the hottest seam in the
+        # package (one hit per candidate probe), so the disabled cost
+        # must stay at two attribute loads and a truth test.
+        faults.FAILPOINTS.fire("algo.feasibility")
+    if obs is not None:
+        obs.counter("feasibility.exact").inc()
     server = placement.server(server_id)
     bumps = {c: replica_load for c in chosen}
     future = [replica_load] * future_siblings
     worst = worst_shared_sum(placement, server_id, failures, bumps, future)
-    empty_after = server.capacity - server.load - replica_load - extra_reserve
+    empty_after = server.capacity - server.load - replica_load
     if empty_after + LOAD_EPS < worst:
         return False
     for c in chosen:
@@ -706,85 +697,6 @@ def exact_robust_after_placement(placement: PlacementState,
         if other.capacity - other.load + LOAD_EPS < worst_c:
             return False
     return True
-
-
-def robust_after_placement(placement: PlacementState, server_id: int,
-                           replica_load: float, chosen: Sequence[int],
-                           failures: int,
-                           extra_reserve: float = 0.0,
-                           future_siblings: int = 0,
-                           obs=None) -> bool:
-    """Screened feasibility check — same decisions as
-    :func:`exact_robust_after_placement`, much cheaper per probe.
-
-    Every condition the exact check evaluates compares a server's
-    post-placement headroom against a top-``f`` sum over its *bumped*
-    shared-load multiset.  Two bounds follow from the placement's
-    memoized :meth:`~repro.core.placement.PlacementState
-    .worst_failover_load` (``W``, a cache hit on the hot path):
-
-    * **necessary** — bumping loads and adding partners never shrinks
-      the top-``f`` sum, so headroom below ``W`` rejects outright;
-    * **sufficient** — at most ``min(f, bumped partners)`` of the top
-      ``f`` values grow, each by at most ``replica_load``, so headroom
-      of ``W + min(f, bumped) * replica_load`` accepts outright.
-
-    Only probes landing between the bounds (the ambiguous band) pay for
-    the exact :func:`worst_shared_sum`.  ``obs`` (a
-    :class:`~repro.obs.MetricsRegistry`) records the hit rate: the
-    ``feasibility.screened`` counter counts calls decided purely by the
-    bounds, ``feasibility.exact`` calls that needed at least one exact
-    sum.
-    """
-    if faults.FAILPOINTS._active:
-        # Inlined emptiness guard: this is the hottest seam in the
-        # package (one hit per candidate probe), so the disabled cost
-        # must stay at two attribute loads and a truth test.
-        faults.FAILPOINTS.fire("algo.feasibility")
-    server = placement.server(server_id)
-    empty_after = server.capacity - server.load - replica_load \
-        - extra_reserve
-    cached = (placement.worst_failover_load(server_id, failures)
-              if failures > 0 else 0.0)
-    exact_used = False
-    decision = True
-    future: Optional[List[float]] = None
-    if failures <= 0:
-        decision = empty_after + LOAD_EPS >= 0.0
-    else:
-        if empty_after + LOAD_EPS < cached - SCREEN_MARGIN:
-            decision = False
-        elif empty_after < cached + SCREEN_MARGIN + replica_load \
-                * min(failures, len(chosen) + future_siblings):
-            exact_used = True
-            bumps = {c: replica_load for c in chosen}
-            future = [replica_load] * future_siblings
-            worst = worst_shared_sum(placement, server_id, failures,
-                                     bumps, future)
-            decision = empty_after + LOAD_EPS >= worst
-    if decision and failures > 0 and chosen:
-        sibling_delta = replica_load * min(failures, 1 + future_siblings)
-        for c in chosen:
-            other = placement.server(c)
-            headroom = other.capacity - other.load
-            cached_c = placement.worst_failover_load(c, failures)
-            if headroom + LOAD_EPS < cached_c - SCREEN_MARGIN:
-                decision = False
-                break
-            if headroom >= cached_c + sibling_delta + SCREEN_MARGIN:
-                continue
-            exact_used = True
-            if future is None:
-                future = [replica_load] * future_siblings
-            worst_c = worst_shared_sum(placement, c, failures,
-                                       {server_id: replica_load}, future)
-            if headroom + LOAD_EPS < worst_c:
-                decision = False
-                break
-    if obs is not None:
-        obs.counter("feasibility.exact" if exact_used
-                    else "feasibility.screened").inc()
-    return bool(decision)
 
 
 # ---------------------------------------------------------------------------

@@ -137,10 +137,6 @@ class RecoveryPlanner:
         failed_set = set(failed)
         for sid in failed_set:
             self.placement.server(sid)  # raises on unknown ids
-        healthy = set(self.placement.server_ids) - failed_set
-        if not healthy and failed_set:
-            # Recovery can still proceed: new servers will be opened.
-            pass
         return failed_set
 
     def _victims(self, failed_set: Set[int]

@@ -217,9 +217,36 @@ class FleetSoakResult:
         return "\n".join(lines)
 
 
+class _PackingDigest:
+    """Incremental sha256 of the canonical packing serialization,
+    ``[[tenant,[servers]],...]`` in compact JSON, fed one tenant at a
+    time in ascending tenant id."""
+
+    __slots__ = ("_hasher", "count")
+
+    def __init__(self) -> None:
+        self._hasher = hashlib.sha256(b"[")
+        self.count = 0
+
+    def feed(self, tenant_id: int, servers) -> None:
+        if self.count:
+            self._hasher.update(b",")
+        self._hasher.update(json.dumps(
+            [tenant_id, list(servers)],
+            separators=(",", ":")).encode("ascii"))
+        self.count += 1
+
+    def hexdigest(self) -> str:
+        digest = self._hasher.copy()
+        digest.update(b"]")
+        return digest.hexdigest()
+
+
 def _packing_fingerprint(acked: Dict[int, List[int]]) -> str:
-    canon = json.dumps(sorted(acked.items()), separators=(",", ":"))
-    return hashlib.sha256(canon.encode("ascii")).hexdigest()
+    digest = _PackingDigest()
+    for tenant_id in sorted(acked):
+        digest.feed(tenant_id, acked[tenant_id])
+    return digest.hexdigest()
 
 
 def _crash_report(at: int, acked: int, divergences: List[str],
@@ -416,20 +443,17 @@ DEFAULT_WINDOW = 4096
 class _StreamShard:
     """In-process bookkeeping for one shard of a streaming soak."""
 
-    __slots__ = ("shard_id", "controller", "hasher", "first", "acked",
-                 "elapsed", "foreign", "crash_report", "refused")
+    __slots__ = ("shard_id", "controller", "packing", "elapsed",
+                 "foreign", "crash_report", "refused")
 
     def __init__(self, shard_id: int,
                  controller: ShardController) -> None:
         self.shard_id = shard_id
         self.controller = controller
-        # Incremental sha256 over the canonical sorted
-        # ``[tenant, [servers]]`` serialization: per-shard tenant ids
-        # arrive strictly increasing, so admission order *is* sorted
-        # order and the digest can be fed as placements are acked.
-        self.hasher = hashlib.sha256()
-        self.first = True
-        self.acked = 0
+        # Per-shard tenant ids arrive strictly increasing, so admission
+        # order *is* sorted order and the digest is fed as placements
+        # are acked.
+        self.packing = _PackingDigest()
         self.elapsed = 0.0
         #: Tenant ids admitted here via spillover from another shard's
         #: refusal — excluded from the fingerprint, exactly like the
@@ -438,46 +462,20 @@ class _StreamShard:
         self.crash_report: Optional[Dict[str, object]] = None
         self.refused: List[Tuple[int, float]] = []
 
-    def feed(self, tenant_id: int, servers) -> None:
-        item = json.dumps([tenant_id, list(servers)],
-                          separators=(",", ":"))
-        if self.first:
-            self.hasher.update(b"[")
-            self.first = False
-        else:
-            self.hasher.update(b",")
-        self.hasher.update(item.encode("ascii"))
-        self.acked += 1
 
-    def fingerprint(self) -> str:
-        digest = self.hasher.copy()
-        digest.update(b"]" if not self.first else b"[]")
-        return digest.hexdigest()
+def _recovered_packing(placement, exclude: set) -> _PackingDigest:
+    """Packing digest of a recovered placement, ``exclude`` left out.
 
-
-def _recovered_fingerprint(placement, exclude: set) -> Tuple[str, int]:
-    """Canonical packing fingerprint of a recovered placement.
-
-    Streams the recovered ``tenant -> [servers]`` mapping through the
-    same incremental serialization :class:`_StreamShard` maintains, so
-    a clean recovery reproduces the running digest bit-for-bit without
-    the soak ever keeping an acked map.
+    A clean recovery reproduces the running digest of the shard it
+    recovered bit-for-bit, without the soak ever keeping an acked map.
     """
-    hasher = hashlib.sha256()
-    first = True
-    count = 0
+    digest = _PackingDigest()
     for tenant_id in sorted(placement.tenant_ids):
         if tenant_id in exclude:
             continue
         by_index = placement.tenant_servers(tenant_id)
-        servers = [by_index[i] for i in sorted(by_index)]
-        item = json.dumps([tenant_id, servers], separators=(",", ":"))
-        hasher.update(b"[" if first else b",")
-        first = False
-        hasher.update(item.encode("ascii"))
-        count += 1
-    hasher.update(b"]" if not first else b"[]")
-    return hasher.hexdigest(), count
+        digest.feed(tenant_id, [by_index[i] for i in sorted(by_index)])
+    return digest
 
 
 def run_streaming_soak(root: PathLike,
@@ -532,17 +530,17 @@ def run_streaming_soak(root: PathLike,
         shard.controller.crash()
         controller = fresh(shard.shard_id)
         divergences: List[str] = []
-        got_fp, got_count = _recovered_fingerprint(
-            controller.placement, shard.foreign)
-        if got_count != shard.acked:
-            divergences.append(
-                f"recovered {got_count} tenants, acked {shard.acked}")
-        if got_fp != shard.fingerprint():
+        got = _recovered_packing(controller.placement, shard.foreign)
+        if got.count != shard.packing.count:
+            divergences.append(f"recovered {got.count} tenants, "
+                               f"acked {shard.packing.count}")
+        got_fp, acked_fp = got.hexdigest(), shard.packing.hexdigest()
+        if got_fp != acked_fp:
             divergences.append(
                 f"recovered packing fingerprint {got_fp[:16]}..., "
-                f"acked {shard.fingerprint()[:16]}...")
+                f"acked {acked_fp[:16]}...")
         shard.crash_report = _crash_report(
-            shard.acked, shard.acked, divergences,
+            shard.packing.count, shard.packing.count, divergences,
             controller.recovered_state)
         shard.controller = controller
 
@@ -555,14 +553,14 @@ def run_streaming_soak(root: PathLike,
             shard = shards[shard_id]
             if (crash_at is not None and cfg.crash_shard == shard_id
                     and shard.crash_report is None
-                    and shard.acked >= crash_at):
+                    and shard.packing.count >= crash_at):
                 crash_drill(shard)
             group_started = time.perf_counter()
             outcomes = shard.controller.place_batch(groups[shard_id])
             shard.elapsed += time.perf_counter() - group_started
             for tenant, servers in outcomes:
                 if servers is not None:
-                    shard.feed(tenant.tenant_id, servers)
+                    shard.packing.feed(tenant.tenant_id, servers)
                     continue
                 # Budget refusal: spill immediately, ring order.
                 shard.refused.append((tenant.tenant_id, tenant.load))
@@ -583,10 +581,10 @@ def run_streaming_soak(root: PathLike,
         # trigger; the drill still fires once (post-stream) so every
         # configured soak exercises recovery.
         victim = shards[cfg.crash_shard]
-        if victim.crash_report is None and victim.acked > 0:
+        if victim.crash_report is None and victim.packing.count > 0:
             crash_drill(victim)
 
-    outcomes = [_close_shard(shard.controller, shard.fingerprint(),
+    outcomes = [_close_shard(shard.controller, shard.packing.hexdigest(),
                              shard.elapsed, shard.refused,
                              shard.crash_report)
                 for shard in shards]
@@ -597,8 +595,9 @@ def run_streaming_soak(root: PathLike,
     nonempty = sum(o.nonempty_servers for o in outcomes)
     utilization = (total_load / nonempty) if nonempty else 0.0
     placed = sum(o.tenants for o in outcomes) - spill_placed
-    aggregate = sum(shard.acked / shard.elapsed for shard in shards
-                    if shard.elapsed > 0 and shard.acked)
+    aggregate = sum(shard.packing.count / shard.elapsed
+                    for shard in shards
+                    if shard.elapsed > 0 and shard.packing.count)
     p50, p99 = _place_latency(gated)
     return FleetSoakResult(
         config=cfg, outcomes=outcomes, placed=placed,

@@ -83,7 +83,7 @@ def test_mu_sweep_obs_identical_across_jobs():
         deterministic[jobs] = (counters, histogram_counts, events)
     assert deterministic[1] == deterministic[4]
     counters, _, _ = deterministic[1]
-    assert counters.get("feasibility.screened", 0) > 0
+    assert counters.get("feasibility.exact", 0) > 0
 
 
 def test_compare_parallel_matches_serial():

@@ -107,13 +107,6 @@ class TestRobustAfterPlacement:
         assert not robust_after_placement(ps, 0, 0.2, chosen=[1],
                                           failures=1)
 
-    def test_extra_reserve_demands_headroom(self):
-        ps = placed(gamma=2, servers=1)
-        assert robust_after_placement(ps, 0, 0.5, chosen=[], failures=1,
-                                      extra_reserve=0.4)
-        assert not robust_after_placement(ps, 0, 0.5, chosen=[],
-                                          failures=1, extra_reserve=0.6)
-
 
 class TestServerIndex:
     def test_candidates_sorted_by_level_desc(self):

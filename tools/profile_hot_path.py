@@ -9,9 +9,9 @@ the pipeline's four phases:
   and robust availability for the servers the dirty tracker reports);
 * ``screen``      — candidate queries and iteration, and the
   fullest-first selection scan;
-* ``exact``       — the screened feasibility probe
-  (``robust_after_placement``) and the exact top-``f`` shared-load
-  evaluations it falls through to (``worst_shared_sum``);
+* ``exact``       — the exact feasibility probe
+  (``robust_after_placement``) and the top-``f`` shared-load sums it
+  evaluates (``worst_shared_sum``);
 * ``bookkeeping`` — placement mutation itself (``place``, server
   add, shared-load index updates, cache invalidation).
 
