@@ -28,8 +28,7 @@ from .core.server import Server
 from .core.config import CubeFitConfig
 from .core.classes import SizeClassifier
 from .core.cubefit import CubeFit
-from .core.validation import (audit, brute_force_audit, exact_failure_audit,
-                              AuditReport)
+from .core.validation import audit, AuditReport
 from .algorithms.base import (OnlinePlacementAlgorithm, make_algorithm,
                               available_algorithms)
 from .algorithms.rfi import RFI
@@ -53,7 +52,7 @@ __all__ = [
     "RobustBestFit", "RobustFirstFit", "RobustNextFit",
     "OnlinePlacementAlgorithm", "make_algorithm", "available_algorithms",
     # validation
-    "audit", "brute_force_audit", "exact_failure_audit", "AuditReport",
+    "audit", "AuditReport",
     # bounds and the offline heuristic
     "capacity_lower_bound", "weight_lower_bound", "best_lower_bound",
     "OfflineFirstFitDecreasing",

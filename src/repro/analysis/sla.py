@@ -10,9 +10,9 @@ availability SLA is the right one.
 The model: servers fail independently within a recovery window with
 probability ``failure_prob``.  A tenant of load ``x`` replicated
 ``gamma`` ways has its load re-shared among survivors when ``k`` of its
-servers fail (the exact-redistribution semantics of
-:meth:`repro.core.placement.PlacementState.exact_failover_load`), so
-the tenant's SLA is violated when
+servers fail: each of the ``gamma - k`` surviving replicas then carries
+``x / (gamma - k)``, which is what the cluster simulator does when
+servers actually fail.  So the tenant's SLA is violated when
 
 * all ``gamma`` replicas are lost (``k == gamma``), or
 * a surviving replica's share ``x / (gamma - k)`` exceeds the

@@ -10,10 +10,7 @@ from .cube import ClassCubes, SlotAddress, to_digits, from_digits, \
     rotate_right
 from .multireplica import MultiReplica, MultiReplicaPolicy
 from .cubefit import CubeFit
-from .validation import (audit, brute_force_audit, exact_failure_audit,
-                         domain_failure_audit, AuditReport, Violation,
-                         IncrementalAuditor,
-                         shared_tenant_counts, max_shared_tenants)
+from .validation import audit, AuditReport, Violation, IncrementalAuditor
 from .recovery import RecoveryPlanner, RecoveryPlan, ReplicaMove
 
 __all__ = [
@@ -23,9 +20,6 @@ __all__ = [
     "CubeFitConfig", "TINY_POLICY_ALPHA", "TINY_POLICY_LAST_CLASS",
     "TINY_POLICIES", "ClassCubes", "SlotAddress", "to_digits",
     "from_digits", "rotate_right", "MultiReplica", "MultiReplicaPolicy",
-    "CubeFit", "audit", "brute_force_audit", "exact_failure_audit",
-    "domain_failure_audit", "IncrementalAuditor",
-    "AuditReport", "Violation", "shared_tenant_counts",
-    "max_shared_tenants", "RecoveryPlanner", "RecoveryPlan",
-    "ReplicaMove",
+    "CubeFit", "audit", "IncrementalAuditor", "AuditReport", "Violation",
+    "RecoveryPlanner", "RecoveryPlan", "ReplicaMove",
 ]

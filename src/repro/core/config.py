@@ -40,23 +40,6 @@ class CubeFitConfig:
         Enable the first stage (m-fit placement into mature bins).  With
         False, every tenant goes through the cube machinery; useful for
         ablation.
-    first_stage_tiny:
-        Whether tiny tenants may also be placed via the first stage
-        before falling back to multi-replica aggregation (the Section V-A
-        "re-use the left over space" optimization).
-    allow_same_class_first_stage:
-        The paper restricts the first stage to replicas of classes
-        *larger* (smaller sizes) than the mature bin's class.  Set True to
-        relax this to same-or-larger classes (ablation).
-    enforce_fault_domains:
-        Extension: treat the ``gamma`` cube groups as fault domains
-        (racks / availability zones).  Every second-stage bin is tagged
-        with its group index as its domain, and the first stage only
-        admits a replica into a bin whose domain differs from the
-        sibling replicas' domains — so each tenant's replicas always
-        span ``gamma`` distinct domains.  The cube construction gives
-        this for free in stage two (replica ``j`` lives in group ``j``);
-        the flag extends the guarantee through stage one.
     capacity:
         Server capacity; the paper normalizes to 1.
     """
@@ -65,9 +48,6 @@ class CubeFitConfig:
     num_classes: int = 10
     tiny_policy: str = TINY_POLICY_LAST_CLASS
     first_stage: bool = True
-    first_stage_tiny: bool = True
-    allow_same_class_first_stage: bool = False
-    enforce_fault_domains: bool = False
     capacity: float = 1.0
 
     def __post_init__(self) -> None:

@@ -111,14 +111,12 @@ class CubeFit(OnlinePlacementAlgorithm):
     def _place(self, tenant: Tenant) -> Tuple[int, ...]:
         replica_load = tenant.replica_load(self.gamma)
         tau = self.classifier.replica_class(replica_load)
-        tiny = tau == self.config.num_classes
-        if self.config.first_stage and (
-                not tiny or self.config.first_stage_tiny):
+        if self.config.first_stage:
             placed = self._try_first_stage(tenant, replica_load, tau)
             if placed is not None:
                 self.stats["first_stage_tenants"] += 1
                 return placed
-        if tiny:
+        if tau == self.config.num_classes:
             self.stats["tiny_tenants"] += 1
             return self._place_tiny(tenant, replica_load)
         self.stats["cube_tenants"] += 1
@@ -152,26 +150,12 @@ class CubeFit(OnlinePlacementAlgorithm):
     def _find_mature_fit(self, replica: Replica, tau: int,
                          chosen: Sequence[int]) -> Optional[int]:
         """Best Fit: fullest mature bin that exactly m-fits ``replica``."""
-        placement = self.placement
-        server_of = placement._servers
-        same_class_ok = self.config.allow_same_class_first_stage
-        taken_domains = None
-        if self.config.enforce_fault_domains:
-            taken_domains = {
-                server_of[c].tags.get(TAG_DOMAIN) for c in chosen}
+        server_of = self.placement._servers
 
         def accept(sid: int) -> bool:
-            tags = server_of[sid].tags
-            bin_class = tags[TAG_CLASS]
-            if same_class_ok:
-                if tau < bin_class:
-                    return False
-            elif tau <= bin_class:
-                # Only strictly smaller replicas (larger class index) may
-                # reuse a mature bin's leftover space.
-                return False
-            return taken_domains is None \
-                or tags.get(TAG_DOMAIN) not in taken_domains
+            # Only strictly smaller replicas (larger class index) may
+            # reuse a mature bin's leftover space.
+            return tau > server_of[sid].tags[TAG_CLASS]
 
         return self._index.select(
             replica.load, chosen, min_avail=replica.load,
@@ -199,9 +183,9 @@ class CubeFit(OnlinePlacementAlgorithm):
                 server.tags[TAG_SLOTS_FILLED] = 0
                 server.tags[TAG_MATURE] = False
                 server.tags[TAG_ACTIVE_MULTI] = False
-                # The cube group doubles as the bin's fault domain:
-                # replica j always lives in group j, so second-stage
-                # tenants span all gamma domains by construction.
+                # The bin's cube group (replica j lives in group j).
+                # Nothing enforces it; it stays a tag because
+                # checkpoints encode it.
                 server.tags[TAG_DOMAIN] = address.group
                 cubes.assign_bin(address, server.server_id)
                 self._index.track(server.server_id, eligible=False)
@@ -344,24 +328,6 @@ class CubeFit(OnlinePlacementAlgorithm):
     def bin_class(self, server_id: int) -> int:
         """CUBEFIT class of the given bin."""
         return self.placement.server(server_id).tags[TAG_CLASS]
-
-    def server_domain(self, server_id: int) -> Optional[int]:
-        """Fault domain (cube group) of the given bin, if tagged."""
-        return self.placement.server(server_id).tags.get(TAG_DOMAIN)
-
-    def domains_respected(self) -> bool:
-        """Whether every tenant's replicas span distinct fault domains.
-
-        Trivially true for pure second-stage packings (replica ``j``
-        lives in group ``j``); with ``enforce_fault_domains`` it also
-        holds through the first stage.
-        """
-        for tenant_id in self.placement.tenant_ids:
-            homes = self.placement.tenant_servers(tenant_id).values()
-            domains = [self.server_domain(sid) for sid in homes]
-            if len(set(domains)) != len(domains):
-                return False
-        return True
 
     def describe(self) -> Dict[str, object]:
         info = super().describe()

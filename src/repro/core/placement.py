@@ -30,38 +30,19 @@ per-server derived data (the validator's
 invalidation stream through :meth:`dirty_tracker`, so after each
 placement they re-evaluate ``O(affected servers)`` instead of the whole
 fleet.
-
-Because a cache like this is only as good as its invalidation, a
-**shadow-audit** mode (``REPRO_SHADOW_AUDIT=1`` or
-``PlacementState(shadow_audit=True)``) cross-checks every served value
-against a from-scratch recomputation of the shared-load sets and raises
-:class:`~repro.errors.ShadowAuditError` on any divergence.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
     Set, Tuple
 
-from ..errors import ConfigurationError, PlacementError, ShadowAuditError
+from ..errors import ConfigurationError, PlacementError
 from .server import Server, UNIT_CAPACITY
 from .tenant import LOAD_EPS, Replica, Tenant
 
 ReplicaKey = Tuple[int, int]
-
-#: Absolute tolerance for shadow-audit comparisons.  The incremental
-#: shared-load index accumulates float add/subtract round-off that a
-#: fresh summation does not, so exact equality is too strict.
-SHADOW_EPS = 1e-6
-
-
-def _shadow_audit_default() -> bool:
-    """Whether the ``REPRO_SHADOW_AUDIT`` environment flag is set."""
-    return os.environ.get("REPRO_SHADOW_AUDIT", "").strip().lower() \
-        not in ("", "0", "false", "no", "off")
-
 
 class DirtyTracker:
     """One consumer's view of which servers changed since its last drain.
@@ -92,10 +73,6 @@ class DirtyTracker:
         """The accumulated dirty ids, without clearing them."""
         return set(self._dirty)
 
-    def mark(self, server_ids: Iterable[int]) -> None:
-        """Force servers dirty (e.g. after consumer-side bookkeeping)."""
-        self._dirty.update(server_ids)
-
     def close(self) -> None:
         """Unsubscribe from the placement's invalidation stream."""
         try:
@@ -113,11 +90,6 @@ class PlacementState:
         Replication factor (replicas per tenant); typically 2 or 3.
     capacity:
         Per-server capacity; the paper normalizes this to 1.
-    shadow_audit:
-        Cross-check every served worst-failover value against a
-        from-scratch recomputation and raise
-        :class:`~repro.errors.ShadowAuditError` on divergence.  Defaults
-        to the ``REPRO_SHADOW_AUDIT`` environment flag.
 
     Notes
     -----
@@ -127,8 +99,7 @@ class PlacementState:
     :class:`~repro.core.server.Server` objects directly for mutation.
     """
 
-    def __init__(self, gamma: int, capacity: float = UNIT_CAPACITY,
-                 shadow_audit: Optional[bool] = None) -> None:
+    def __init__(self, gamma: int, capacity: float = UNIT_CAPACITY) -> None:
         if gamma < 1:
             raise ConfigurationError(f"gamma must be >= 1, got {gamma}")
         if capacity <= 0:
@@ -148,8 +119,6 @@ class PlacementState:
         self._wfl_cache: Dict[int, Dict[int, float]] = {}
         #: live consumer handles fed by every mutation
         self._trackers: List[DirtyTracker] = []
-        self.shadow_audit = _shadow_audit_default() \
-            if shadow_audit is None else shadow_audit
 
     # ------------------------------------------------------------------
     # Slack-index plumbing
@@ -388,8 +357,6 @@ class PlacementState:
         if value is None:
             value = per_server[f] = \
                 self._compute_worst_failover(server_id, f)
-        if self.shadow_audit:
-            self._shadow_check(server_id, f, value)
         return value
 
     def _compute_worst_failover(self, server_id: int, f: int) -> float:
@@ -398,67 +365,6 @@ class PlacementState:
         if len(values) <= f:
             return sum(values)
         return sum(heapq.nlargest(f, values))
-
-    # ------------------------------------------------------------------
-    # Shadow audit (falsifiability of the slack index)
-    # ------------------------------------------------------------------
-    def naive_shared_partners(self, server_id: int) -> Dict[int, float]:
-        """Shared-load partners rebuilt from the raw replica sets.
-
-        Ignores both the incremental ``_shared`` index and the slack
-        cache: walks the server's replicas and their siblings' homes.
-        This is the ground truth the shadow audit compares against.
-        """
-        server = self.server(server_id)
-        shared: Dict[int, float] = {}
-        for (tenant_id, _index), replica in server.replicas.items():
-            for other_id in self._tenant_servers[tenant_id].values():
-                if other_id != server_id:
-                    shared[other_id] = shared.get(other_id, 0.0) \
-                        + replica.load
-        return shared
-
-    def naive_worst_failover_load(self, server_id: int,
-                                  failures: Optional[int] = None) -> float:
-        """:meth:`worst_failover_load` recomputed from the replica sets."""
-        f = self.gamma - 1 if failures is None else failures
-        if f <= 0:
-            return 0.0
-        values = list(self.naive_shared_partners(server_id).values())
-        if len(values) <= f:
-            return sum(values)
-        return sum(heapq.nlargest(f, values))
-
-    def naive_slack(self, server_id: int,
-                    failures: Optional[int] = None) -> float:
-        """:meth:`slack` recomputed from the replica sets."""
-        server = self.server(server_id)
-        return (server.capacity - server.load
-                - self.naive_worst_failover_load(server_id, failures))
-
-    def _shadow_check(self, server_id: int, f: int, cached: float) -> None:
-        """Raise if the value about to be served diverges from naive
-        recomputation (cache invalidation missed a server, or the
-        incremental shared-load index itself drifted)."""
-        truth = self.naive_worst_failover_load(server_id, f)
-        if abs(truth - cached) > SHADOW_EPS:
-            raise ShadowAuditError(
-                f"slack index divergence on server {server_id} "
-                f"(failures={f}): cached worst failover {cached!r} vs "
-                f"naive {truth!r}",
-                server_id=server_id, cached=cached, recomputed=truth)
-        naive_shared = self.naive_shared_partners(server_id)
-        indexed_shared = self._shared[server_id]
-        keys = set(naive_shared) | set(indexed_shared)
-        for other in keys:
-            a = indexed_shared.get(other, 0.0)
-            b = naive_shared.get(other, 0.0)
-            if abs(a - b) > SHADOW_EPS:
-                raise ShadowAuditError(
-                    f"shared-load divergence between servers "
-                    f"{server_id} and {other}: indexed {a!r} vs "
-                    f"naive {b!r}",
-                    server_id=server_id, cached=a, recomputed=b)
 
     def slack(self, server_id: int, failures: Optional[int] = None) -> float:
         """Capacity remaining after load plus worst-case failover load.
@@ -469,49 +375,6 @@ class PlacementState:
         server = self.server(server_id)
         return (server.capacity - server.load
                 - self.worst_failover_load(server_id, failures))
-
-    def is_robust(self, server_id: int,
-                  failures: Optional[int] = None) -> bool:
-        """Whether one server meets the robustness condition."""
-        return self.slack(server_id, failures) >= -LOAD_EPS
-
-    def failover_load(self, server_id: int,
-                      failed: Iterable[int]) -> float:
-        """Load redirected to ``server_id`` for a *specific* failure set.
-
-        Uses the paper's conservative accounting (each failed partner
-        redirects its full shared load), i.e.
-        ``sum(|S ∩ F| for F in failed)``.
-        """
-        shared = self._shared[server_id]
-        return sum(shared.get(f, 0.0) for f in failed if f != server_id)
-
-    def exact_failover_load(self, server_id: int,
-                            failed: Iterable[int]) -> float:
-        """Load redirected to ``server_id`` under *exact* redistribution.
-
-        When ``k`` of a tenant's servers fail, its total load ``x`` is
-        re-shared evenly among the ``gamma - k`` survivors, so each
-        survivor's share grows from ``x/gamma`` to ``x/(gamma-k)``.  This
-        is the semantics the cluster simulator implements; it is never
-        larger than :meth:`failover_load` and coincides with it when all
-        ``gamma - 1`` partners of a tenant fail.
-        """
-        failed_set = set(failed)
-        failed_set.discard(server_id)
-        extra = 0.0
-        server = self.server(server_id)
-        for (tenant_id, _index) in server.replicas:
-            homes = set(self._tenant_servers[tenant_id].values())
-            k = len(homes & failed_set)
-            if k == 0:
-                continue
-            survivors = len(homes) - k
-            if survivors <= 0:
-                continue  # tenant fully lost; no load to redirect
-            x = self._tenant_loads[tenant_id]
-            extra += x / survivors - x / len(homes)
-        return extra
 
     def utilization(self) -> float:
         """Mean load across non-empty servers (paper's 'average server

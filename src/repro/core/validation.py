@@ -1,38 +1,25 @@
-"""Robustness audits for packings (Theorem 1 / Lemma 1 machinery).
+"""Robustness audits for packings (Theorem 1).
 
-Three levels of checking are provided:
-
-* :func:`audit` — the paper's condition using the worst-case top-``f``
-  shared-load bound; linear in servers, used everywhere.
-* :func:`brute_force_audit` — enumerates *every* failure set of size up
-  to ``f`` and applies the conservative formula; exponential, intended
-  for tests on small packings to validate :func:`audit` itself.
-* :func:`exact_failure_audit` — enumerates failure sets but uses the
-  *exact* redistribution semantics (a tenant's load is re-shared evenly
-  among surviving replicas).  Always at least as permissive as the
-  conservative audits.
+:func:`audit` checks the paper's condition with the worst-case top-``f``
+shared-load bound; it is linear in servers and is used everywhere.
 
 For audit-after-every-arrival workloads :class:`IncrementalAuditor`
 keeps the full per-server slack picture warm between calls: it drains
 the placement's dirty tracker and re-evaluates only the servers a
 mutation affected, so each check costs O(affected servers) instead of
 O(fleet) while returning the same :class:`AuditReport` :func:`audit`
-would.
-
-Plus :func:`max_shared_tenants`, which checks Lemma 1's structural
-property (no two bins share replicas of more than one tenant) for
-second-stage bins.
+would.  Both judge a server through one per-server verdict.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import RobustnessViolation
 from .placement import PlacementState
+from .server import Server, UNIT_CAPACITY
 from .tenant import LOAD_EPS
 
 
@@ -44,11 +31,12 @@ class Violation:
     load: float
     failover_load: float
     failed_set: Tuple[int, ...] = ()
+    capacity: float = UNIT_CAPACITY
 
     @property
     def overload(self) -> float:
-        """Load in excess of unit capacity."""
-        return self.load + self.failover_load - 1.0
+        """Load in excess of the server's capacity."""
+        return self.load + self.failover_load - self.capacity
 
 
 @dataclass
@@ -82,6 +70,23 @@ class AuditReport:
                 f" {status})")
 
 
+def _verdict(placement: PlacementState, server: Server,
+             f: int) -> Tuple[float, Optional[Violation]]:
+    """Slack of ``server`` under its worst ``f`` failures, and the
+    violation to report if that slack is below ``-LOAD_EPS``."""
+    sid = server.server_id
+    failover = placement.worst_failover_load(sid, f)
+    slack = server.capacity - server.load - failover
+    violation = None
+    if slack < -LOAD_EPS:
+        partners = placement.shared_partners(sid)
+        worst = tuple(sorted(partners, key=partners.get, reverse=True)[:f])
+        violation = Violation(server_id=sid, load=server.load,
+                              failover_load=failover, failed_set=worst,
+                              capacity=server.capacity)
+    return slack, violation
+
+
 def audit(placement: PlacementState,
           failures: Optional[int] = None) -> AuditReport:
     """Check every server against the worst-case failover bound.
@@ -95,16 +100,10 @@ def audit(placement: PlacementState,
     f = placement.gamma - 1 if failures is None else failures
     report = AuditReport(failures=f, num_servers=placement.num_servers)
     for server in placement:
-        failover = placement.worst_failover_load(server.server_id, f)
-        slack = server.capacity - server.load - failover
+        slack, violation = _verdict(placement, server, f)
         report.min_slack = min(report.min_slack, slack)
-        if slack < -LOAD_EPS:
-            partners = placement.shared_partners(server.server_id)
-            worst = tuple(sorted(partners, key=partners.get,
-                                 reverse=True)[:f])
-            report.violations.append(Violation(
-                server_id=server.server_id, load=server.load,
-                failover_load=failover, failed_set=worst))
+        if violation is not None:
+            report.violations.append(violation)
     if placement.num_servers == 0:
         report.min_slack = placement.capacity
     return report
@@ -142,20 +141,13 @@ class IncrementalAuditor:
         placement = self.placement
         f = self.failures
         for sid in self._tracker.drain():
-            server = placement.server(sid)
-            failover = placement.worst_failover_load(sid, f)
-            slack = server.capacity - server.load - failover
+            slack, violation = _verdict(placement, placement.server(sid), f)
             self._slack[sid] = slack
             heapq.heappush(self._heap, (slack, sid))
-            if slack < -LOAD_EPS:
-                partners = placement.shared_partners(sid)
-                worst = tuple(sorted(partners, key=partners.get,
-                                     reverse=True)[:f])
-                self._violations[sid] = Violation(
-                    server_id=sid, load=server.load,
-                    failover_load=failover, failed_set=worst)
-            else:
+            if violation is None:
                 self._violations.pop(sid, None)
+            else:
+                self._violations[sid] = violation
         if len(self._heap) > 4 * max(len(self._slack), 16):
             self._heap = [(slack, sid)
                           for sid, slack in self._slack.items()]
@@ -183,130 +175,3 @@ class IncrementalAuditor:
     def close(self) -> None:
         """Unsubscribe from the placement's invalidation stream."""
         self._tracker.close()
-
-
-def brute_force_audit(placement: PlacementState,
-                      failures: Optional[int] = None) -> AuditReport:
-    """Enumerate all failure sets of size up to ``failures``.
-
-    Uses the conservative per-failed-server shared-load formula exactly
-    as written in Section II.  Exponential in the failure budget times
-    servers; only for tests on small packings.
-    """
-    f = placement.gamma - 1 if failures is None else failures
-    report = AuditReport(failures=f, num_servers=placement.num_servers)
-    ids = placement.server_ids
-    for server in placement:
-        others = [i for i in ids if i != server.server_id]
-        worst_extra = 0.0
-        worst_set: Tuple[int, ...] = ()
-        for size in range(0, min(f, len(others)) + 1):
-            for failed in itertools.combinations(others, size):
-                extra = placement.failover_load(server.server_id, failed)
-                if extra > worst_extra:
-                    worst_extra = extra
-                    worst_set = failed
-        slack = server.capacity - server.load - worst_extra
-        report.min_slack = min(report.min_slack, slack)
-        if slack < -LOAD_EPS:
-            report.violations.append(Violation(
-                server_id=server.server_id, load=server.load,
-                failover_load=worst_extra, failed_set=worst_set))
-    if placement.num_servers == 0:
-        report.min_slack = placement.capacity
-    return report
-
-
-def exact_failure_audit(placement: PlacementState,
-                        failures: Optional[int] = None) -> AuditReport:
-    """Enumerate failure sets under exact redistribution semantics.
-
-    Matches what the cluster simulator does when servers actually fail: a
-    tenant whose ``k`` servers failed re-shares its load evenly among the
-    ``gamma - k`` survivors.  Exponential; for tests.
-    """
-    f = placement.gamma - 1 if failures is None else failures
-    report = AuditReport(failures=f, num_servers=placement.num_servers)
-    ids = placement.server_ids
-    for server in placement:
-        others = [i for i in ids if i != server.server_id]
-        worst_extra = 0.0
-        worst_set: Tuple[int, ...] = ()
-        for size in range(0, min(f, len(others)) + 1):
-            for failed in itertools.combinations(others, size):
-                extra = placement.exact_failover_load(server.server_id,
-                                                      failed)
-                if extra > worst_extra:
-                    worst_extra = extra
-                    worst_set = failed
-        slack = server.capacity - server.load - worst_extra
-        report.min_slack = min(report.min_slack, slack)
-        if slack < -LOAD_EPS:
-            report.violations.append(Violation(
-                server_id=server.server_id, load=server.load,
-                failover_load=worst_extra, failed_set=worst_set))
-    if placement.num_servers == 0:
-        report.min_slack = placement.capacity
-    return report
-
-
-def domain_failure_audit(placement: PlacementState,
-                         domain_of: Dict[int, int]) -> AuditReport:
-    """Audit against whole-domain failures (rack / availability zone).
-
-    The paper's guarantee covers any ``gamma - 1`` *individual* server
-    failures; losing an entire fault domain fails many servers at once
-    and is **not** covered — each survivor absorbs redirects from every
-    failed partner simultaneously.  This audit quantifies the exposure:
-    for each domain ``d``, fail every server with ``domain_of[sid] ==
-    d`` and evaluate the conservative failover formula on all
-    survivors.  Servers missing from ``domain_of`` are treated as their
-    own singleton domains.
-
-    Returns a report whose violations carry the overload a domain loss
-    would cause — useful with
-    ``CubeFitConfig.enforce_fault_domains``, where each tenant loses at
-    most one replica per domain so the *availability* story survives
-    even when the latency one does not.
-    """
-    report = AuditReport(failures=-1, num_servers=placement.num_servers)
-    domains: Dict[int, List[int]] = {}
-    for sid in placement.server_ids:
-        key = domain_of.get(sid, -1 - sid)  # singleton for untagged
-        domains.setdefault(key, []).append(sid)
-    for domain, failed in sorted(domains.items()):
-        failed_set = set(failed)
-        for server in placement:
-            if server.server_id in failed_set:
-                continue
-            extra = placement.failover_load(server.server_id, failed)
-            slack = server.capacity - server.load - extra
-            report.min_slack = min(report.min_slack, slack)
-            if slack < -LOAD_EPS:
-                report.violations.append(Violation(
-                    server_id=server.server_id, load=server.load,
-                    failover_load=extra, failed_set=tuple(failed)))
-    if placement.num_servers == 0:
-        report.min_slack = placement.capacity
-    return report
-
-
-def shared_tenant_counts(placement: PlacementState
-                         ) -> Dict[Tuple[int, int], int]:
-    """Number of tenants shared by each pair of servers that share any.
-
-    Key is the ordered pair ``(min_id, max_id)``.
-    """
-    counts: Dict[Tuple[int, int], int] = {}
-    for tenant_id in placement.tenant_ids:
-        homes = sorted(placement.tenant_servers(tenant_id).values())
-        for a, b in itertools.combinations(homes, 2):
-            counts[(a, b)] = counts.get((a, b), 0) + 1
-    return counts
-
-
-def max_shared_tenants(placement: PlacementState) -> int:
-    """Largest number of tenants any two servers share (Lemma 1 checks
-    this is 1 for pure second-stage CUBEFIT packings)."""
-    counts = shared_tenant_counts(placement)
-    return max(counts.values()) if counts else 0

@@ -55,29 +55,6 @@ class RobustnessViolation(ReproError):
         self.overload = overload
 
 
-class ShadowAuditError(ReproError):
-    """The incremental slack index diverged from naive recomputation.
-
-    Raised only in shadow-audit mode (``REPRO_SHADOW_AUDIT=1`` or
-    ``PlacementState(shadow_audit=True)``), where every cached
-    worst-case failover load is cross-checked against a from-scratch
-    recomputation of the shared-load sets.  A divergence means the
-    incremental invalidation missed a server and the cache can no
-    longer be trusted.
-    """
-
-    def __init__(self, message: str, server_id: int | None = None,
-                 cached: float | None = None,
-                 recomputed: float | None = None) -> None:
-        super().__init__(message)
-        #: Server whose cached value diverged.
-        self.server_id = server_id
-        #: The value the cache was about to serve.
-        self.cached = cached
-        #: The value naive recomputation produced.
-        self.recomputed = recomputed
-
-
 class StoreError(ReproError):
     """A durable-store operation (WAL append, checkpoint, recovery)
     could not be carried out."""

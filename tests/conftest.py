@@ -1,6 +1,6 @@
 """Shared fixtures for the whole test suite.
 
-Three families:
+Four families:
 
 * **Seeded workloads** — ``seeded_loads`` / ``seeded_tenants`` build
   the ``default_rng(seed).uniform(...)`` load lists that most
@@ -17,6 +17,10 @@ Three families:
   or a leftover fire count can never leak across tests (the seams are
   compiled into production code paths and consult process-global
   state).
+* **Index cross-check** — ``checked_index`` checks every
+  ``PlacementState.worst_failover_load`` read against the from-scratch
+  rebuild in :mod:`tests.oracles`; the placement-core modules take it
+  through ``pytestmark = pytest.mark.usefixtures("checked_index")``.
 """
 
 import os
@@ -128,3 +132,24 @@ def fs_events(monkeypatch):
     monkeypatch.setattr(os, "replace", replace)
     monkeypatch.setattr(os, "fsync", fsync)
     return events
+
+
+@pytest.fixture
+def checked_index(monkeypatch):
+    """Wrap ``PlacementState.worst_failover_load`` so each served value,
+    and the shared-load row behind it, is compared with the rebuild
+    (:func:`tests.oracles.check_index`): a missed invalidation or a
+    drifted index fails the read with ``AssertionError``."""
+    from repro.core.placement import PlacementState
+    from tests.oracles import check_index
+
+    served = PlacementState.worst_failover_load
+
+    def checked(self, server_id, failures=None):
+        value = served(self, server_id, failures)
+        f = self.gamma - 1 if failures is None else failures
+        if f > 0:
+            check_index(self, server_id, f, value)
+        return value
+
+    monkeypatch.setattr(PlacementState, "worst_failover_load", checked)

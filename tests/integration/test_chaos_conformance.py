@@ -285,6 +285,11 @@ class TestServeSeams:
         import time
         from repro.serve import ServeClient
         from repro.store import recover
+        # Skip every timer tick until the crash is armed, so no tick
+        # between the acked places and the crash can checkpoint; arming
+        # the crash below replaces this policy.
+        faults.FAILPOINTS.activate("serve.checkpoint_timer",
+                                   action="raise", max_fires=None)
         server = self._server(tmp_path, checkpoint_interval=0.05)
         client = ServeClient(server.socket_path, timeout=5.0)
         try:

@@ -1,15 +1,18 @@
-"""Differential testing of the three audit levels.
+"""Differential testing of the audit against the enumeration oracle.
 
-On small random packings (at most 8 servers, so the exponential audits
-stay cheap) the three checkers must agree on a strict ordering:
+On small random packings (at most 8 servers, so the exponential
+enumeration stays cheap) three checkers must agree on a strict
+ordering:
 
-* :func:`audit` (top-``f`` bound) and :func:`brute_force_audit`
-  (enumerate all failure sets, conservative formula) are *equivalent*:
-  with non-negative shared loads, the worst failure set is exactly the
-  ``f`` largest shared partners.
-* :func:`exact_failure_audit` (true redistribution semantics) is never
-  *stricter* than the conservative pair — a conservative audit may
-  reject a packing the exact one admits, never the other way round.
+* :func:`audit` (top-``f`` bound) and
+  :func:`~tests.oracles.failure_set_audit` with the conservative
+  :func:`~tests.oracles.failover_load` (enumerate all failure sets)
+  are *equivalent*: with non-negative shared loads, the worst failure
+  set is exactly the ``f`` largest shared partners.
+* The enumeration under :func:`~tests.oracles.exact_failover_load`
+  (true redistribution semantics) is never *stricter* than the
+  conservative pair — a conservative audit may reject a packing the
+  exact one admits, never the other way round.
 
 The :class:`IncrementalAuditor` must agree with :func:`audit` after any
 mutation history, since it is the same condition evaluated lazily.
@@ -20,10 +23,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.placement import PlacementState
 from repro.core.tenant import Tenant
-from repro.core.validation import (IncrementalAuditor, audit,
-                                   brute_force_audit,
-                                   exact_failure_audit)
+from repro.core.validation import IncrementalAuditor, audit
 from repro.errors import CapacityError
+from tests.oracles import exact_failover_load, failure_set_audit
+
+pytestmark = pytest.mark.usefixtures("checked_index")
 
 MAX_SERVERS = 8
 
@@ -38,7 +42,7 @@ def small_packings(draw):
     A removal op exercises the audits after ``remove_tenant``.
     """
     gamma = draw(st.integers(min_value=2, max_value=3))
-    ps = PlacementState(gamma=gamma, shadow_audit=True)
+    ps = PlacementState(gamma=gamma)
     n_servers = draw(st.integers(min_value=gamma, max_value=MAX_SERVERS))
     for _ in range(n_servers):
         ps.open_server()
@@ -61,7 +65,7 @@ def small_packings(draw):
 @settings(max_examples=60, deadline=None)
 def test_topf_audit_equals_brute_force(packing, failures):
     fast = audit(packing, failures=failures)
-    brute = brute_force_audit(packing, failures=failures)
+    brute = failure_set_audit(packing, failures=failures)
     assert fast.min_slack == pytest.approx(brute.min_slack, abs=1e-9)
     assert {v.server_id for v in fast.violations} \
         == {v.server_id for v in brute.violations}
@@ -70,8 +74,9 @@ def test_topf_audit_equals_brute_force(packing, failures):
 @given(packing=small_packings(), failures=st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_conservative_never_more_permissive_than_exact(packing, failures):
-    brute = brute_force_audit(packing, failures=failures)
-    exact = exact_failure_audit(packing, failures=failures)
+    brute = failure_set_audit(packing, failures=failures)
+    exact = failure_set_audit(packing, failures=failures,
+                              failover=exact_failover_load)
     # Exact redistribution redirects at most the conservative bound, so
     # exact slack dominates and every exact violation is also flagged
     # by the conservative audits.

@@ -54,14 +54,10 @@ def test_no_server_exceeds_unit_capacity(loads):
         assert server.load <= 1.0 + 1e-9
 
 
-@given(loads=loads_strategy,
-       first_stage=st.booleans(),
-       tiny_first=st.booleans())
+@given(loads=loads_strategy, first_stage=st.booleans())
 @settings(max_examples=30, deadline=None)
-def test_robust_under_all_stage_configurations(loads, first_stage,
-                                               tiny_first):
-    algo = CubeFit(gamma=2, num_classes=5, first_stage=first_stage,
-                   first_stage_tiny=tiny_first)
+def test_robust_under_all_stage_configurations(loads, first_stage):
+    algo = CubeFit(gamma=2, num_classes=5, first_stage=first_stage)
     algo.consolidate(make_tenants(loads))
     assert audit(algo.placement).ok
 

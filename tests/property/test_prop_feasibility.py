@@ -13,6 +13,7 @@ every input, and every call counts exactly one ``feasibility.exact``.
 
 import copy
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.base import robust_after_placement
@@ -20,6 +21,9 @@ from repro.core.placement import PlacementState
 from repro.core.tenant import LOAD_EPS, Replica, Tenant
 from repro.errors import CapacityError
 from repro.obs import MetricsRegistry
+from tests.oracles import naive_slack
+
+pytestmark = pytest.mark.usefixtures("checked_index")
 
 MAX_SERVERS = 8
 
@@ -79,7 +83,7 @@ def _oracle(ps, replicas, server_id, chosen, failures):
             clone.place(replica, clone.open_server().server_id)
     except CapacityError:
         return False
-    return all(clone.naive_slack(sid, failures) >= -LOAD_EPS
+    return all(naive_slack(clone, sid, failures) >= -LOAD_EPS
                for sid in (server_id, *chosen))
 
 

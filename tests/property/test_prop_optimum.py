@@ -6,7 +6,8 @@ Three layers of trust, each checked against the one below:
   must agree exactly with ``branch_and_bound_optimum`` on tiny
   instances.
 * The oracle's packings must pass the float robustness audits — both
-  the worst-case ``audit`` and the exhaustive ``brute_force_audit`` —
+  the worst-case ``audit`` and the exhaustive
+  ``tests.oracles.failure_set_audit`` —
   proving the exact rational model and the float audit accept the same
   packings.
 * Every heuristic is sandwiched: ``certified_lower_bound <= oracle LB
@@ -28,7 +29,8 @@ from repro.analysis.optimum import (SearchBudget, assignment_to_placement,
                                     brute_force_optimum,
                                     certified_lower_bound)
 from repro.core.tenant import Tenant
-from repro.core.validation import audit, brute_force_audit
+from repro.core.validation import audit
+from tests.oracles import failure_set_audit
 
 GRID = st.integers(5, 95).map(lambda v: v / 100)
 
@@ -67,7 +69,7 @@ def test_brute_force_matches_branch_and_bound(data):
                                             gamma)
         assert placement.num_servers == result.upper_bound
         assert audit(placement, failures=gamma - 1).ok
-        assert brute_force_audit(placement, failures=gamma - 1).ok
+        assert failure_set_audit(placement, failures=gamma - 1).ok
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,10 +2,13 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.placement import PlacementState
 from repro.core.tenant import Tenant
+
+pytestmark = pytest.mark.usefixtures("checked_index")
 
 
 def recompute_shared(ps, a, b):

@@ -4,9 +4,10 @@ The index memoizes each server's worst-case failover load and
 invalidates only the servers a mutation affects.  The property: under
 *any* interleaving of ``place``, ``unplace``, ``place_tenant`` and
 ``remove_tenant``, every cached value equals a from-scratch
-recomputation from the raw replica sets.  Shadow-audit mode is enabled
-throughout, so every read is additionally cross-checked inside the
-placement itself and any divergence raises.
+recomputation from the raw replica sets (:mod:`tests.oracles`).  The
+``checked_index`` fixture is active throughout, so every read is
+additionally cross-checked against the rebuild and any divergence
+fails.
 """
 
 import pytest
@@ -14,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.placement import PlacementState
 from repro.core.tenant import Tenant
-from repro.errors import CapacityError, PlacementError, ShadowAuditError
+from repro.errors import CapacityError, PlacementError
+from tests.oracles import naive_slack, naive_worst_failover_load
+
+pytestmark = pytest.mark.usefixtures("checked_index")
 
 MAX_SERVERS = 8
 
@@ -25,18 +29,18 @@ def assert_index_matches_naive(ps):
     for sid in ps.server_ids:
         for f in budgets:
             cached = ps.worst_failover_load(sid, f)
-            naive = ps.naive_worst_failover_load(sid, f)
+            naive = naive_worst_failover_load(ps, sid, f)
             assert cached == pytest.approx(naive, abs=1e-9), (
                 f"server {sid} failures={f}: cached {cached} "
                 f"vs naive {naive}")
-        assert ps.slack(sid) == pytest.approx(ps.naive_slack(sid),
+        assert ps.slack(sid) == pytest.approx(naive_slack(ps, sid),
                                               abs=1e-9)
 
 
 @given(gamma=st.integers(2, 4), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_cached_slack_matches_naive_under_interleavings(gamma, data):
-    ps = PlacementState(gamma=gamma, shadow_audit=True)
+    ps = PlacementState(gamma=gamma)
     for _ in range(gamma + 1):
         ps.open_server()
     next_tid = 0
@@ -123,38 +127,39 @@ def test_dirty_tracker_covers_every_affected_server(gamma, data):
         # If invalidation missed a server, its stale entry in `known`
         # would now disagree with ground truth.
         for sid in ps.server_ids:
-            assert known[sid] == pytest.approx(ps.naive_slack(sid),
+            assert known[sid] == pytest.approx(naive_slack(ps, sid),
                                                abs=1e-9), (
                 f"server {sid} stale after op {step}: tracker never "
                 f"reported it dirty")
 
 
-class TestShadowAuditFalsifiability:
-    """The shadow audit must actually catch a corrupted index."""
+class TestIndexOracleFalsifiability:
+    """The ``checked_index`` oracle must actually catch a corrupted
+    index."""
 
     def test_corrupted_shared_index_raises(self):
-        ps = PlacementState(gamma=2, shadow_audit=True)
+        ps = PlacementState(gamma=2)
         for _ in range(3):
             ps.open_server()
         ps.place_tenant(Tenant(0, 0.6), [0, 1])
         ps.worst_failover_load(0)  # consistent: no divergence
         ps._shared[0][1] += 0.25  # simulate a missed invalidation
         ps._wfl_cache.pop(0, None)
-        with pytest.raises(ShadowAuditError):
+        with pytest.raises(AssertionError, match="divergence"):
             ps.worst_failover_load(0)
 
     def test_corrupted_cache_entry_raises(self):
-        ps = PlacementState(gamma=2, shadow_audit=True)
+        ps = PlacementState(gamma=2)
         for _ in range(3):
             ps.open_server()
         ps.place_tenant(Tenant(0, 0.6), [0, 1])
         ps.worst_failover_load(0)
         ps._wfl_cache[0][1] = 0.999  # stale value survives a mutation
-        with pytest.raises(ShadowAuditError):
+        with pytest.raises(AssertionError, match="divergence"):
             ps.worst_failover_load(0)
 
     def test_unplace_rollback_keeps_index_consistent(self):
-        ps = PlacementState(gamma=3, shadow_audit=True)
+        ps = PlacementState(gamma=3)
         for _ in range(4):
             ps.open_server()
         ps.place_tenant(Tenant(0, 0.9), [0, 1, 2])

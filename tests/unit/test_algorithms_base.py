@@ -10,6 +10,8 @@ from repro.core.placement import PlacementState
 from repro.core.tenant import Tenant
 from repro.errors import ConfigurationError
 
+pytestmark = pytest.mark.usefixtures("checked_index")
+
 
 def placed(gamma=2, servers=4):
     ps = PlacementState(gamma=gamma)

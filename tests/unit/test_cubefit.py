@@ -6,9 +6,10 @@ import pytest
 from repro.core.config import CubeFitConfig
 from repro.core.cubefit import CubeFit, TAG_CLASS, TAG_MATURE
 from repro.core.tenant import make_tenants
-from repro.core.validation import (audit, brute_force_audit,
-                                   exact_failure_audit, max_shared_tenants)
+from repro.core.validation import audit
 from repro.errors import ConfigurationError
+from tests.oracles import (exact_failover_load, failure_set_audit,
+                           max_shared_tenants)
 
 
 def consolidate(loads, gamma=2, **kwargs):
@@ -60,8 +61,9 @@ class TestRobustness:
     def test_brute_force_agrees_small_instance(self, seeded_loads):
         loads = seeded_loads(25, 0.05, 1.0, seed=7)
         algo = consolidate(loads, gamma=3, num_classes=5)
-        assert brute_force_audit(algo.placement).ok
-        assert exact_failure_audit(algo.placement).ok
+        assert failure_set_audit(algo.placement).ok
+        assert failure_set_audit(algo.placement,
+                                 failover=exact_failover_load).ok
 
     def test_tiny_only_workload(self):
         loads = [0.02] * 100
@@ -80,7 +82,7 @@ class TestRobustness:
         # Loads sitting exactly on class boundaries.
         loads = [2 / 3, 0.5, 0.4, 1 / 3, 0.25, 0.2, 1.0, 0.02]
         algo = consolidate(loads, gamma=2, num_classes=5)
-        assert brute_force_audit(algo.placement).ok
+        assert failure_set_audit(algo.placement).ok
 
 
 class TestStructure:

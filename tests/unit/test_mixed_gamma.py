@@ -13,9 +13,10 @@ from repro.algorithms.mixed import MixedGammaFirstFit
 from repro.algorithms.naive import RobustFirstFit
 from repro.analysis.sla import SlaPolicy, gamma_map
 from repro.core.tenant import Tenant
-from repro.core.validation import audit, brute_force_audit
+from repro.core.validation import audit
 from repro.errors import ConfigurationError
 from repro.obs import EventJournal, MetricsRegistry
+from tests.oracles import failure_set_audit
 
 
 def _tenants(seed, n=40, high=0.6):
@@ -62,7 +63,7 @@ class TestMixedPlans:
             assert len(servers) == plan[tenant.tenant_id]
             assert len(set(servers)) == len(servers)
         assert audit(algo.placement, failures=algo.failures).ok
-        assert brute_force_audit(algo.placement,
+        assert failure_set_audit(algo.placement,
                                  failures=algo.failures).ok
 
     def test_gamma_map_plan_end_to_end(self):

@@ -8,8 +8,9 @@ from repro.analysis.optimum import (BRUTE_FORCE_MAX_TENANTS,
                                     branch_and_bound_optimum,
                                     brute_force_optimum,
                                     certified_lower_bound)
-from repro.core.validation import audit, exact_failure_audit
+from repro.core.validation import audit
 from repro.errors import ConfigurationError
+from tests.oracles import exact_failover_load, failure_set_audit
 
 
 class TestKnownInstances:
@@ -135,7 +136,8 @@ class TestMaterialization:
         assert placement.num_servers == result.optimum()
         assert audit(placement, failures=1).ok
         # The exact redistribution semantics are at least as permissive.
-        assert exact_failure_audit(placement, failures=1).ok
+        assert failure_set_audit(placement, failures=1,
+                                 failover=exact_failover_load).ok
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError, match="covers"):

@@ -11,8 +11,9 @@ import pytest
 from repro.core.cube import ClassCubes
 from repro.core.placement import PlacementState
 from repro.core.tenant import Tenant, make_tenants
-from repro.core.validation import (audit, brute_force_audit,
-                                   exact_failure_audit)
+from repro.core.validation import audit
+from tests.oracles import (exact_failover_load, failure_set_audit,
+                           max_shared_tenants)
 
 #: Figure 1's tenant sequence: a..f.
 SIGMA = [0.6, 0.3, 0.6, 0.78, 0.12, 0.36]
@@ -44,22 +45,22 @@ class TestFigure1a:
         # S2 holds a2 (0.3) and c1 (0.3).
         assert ps.server(1).load == pytest.approx(0.60)
         # S1's failure redirects a's other half: 0.6 + 0.3 <= 1.
-        extra = ps.exact_failover_load(1, [0])
+        extra = exact_failover_load(ps, 1, [0])
         assert extra == pytest.approx(0.30)
         assert ps.server(1).load + extra == pytest.approx(0.90)
 
     def test_caption_s3_and_s5_redirects(self):
         ps = self.build()
         # b and e redirect to S3 (id 2): +0.15 + 0.06
-        assert ps.exact_failover_load(2, [0]) == pytest.approx(0.21)
+        assert exact_failover_load(ps, 2, [0]) == pytest.approx(0.21)
         # f redirects to S5 (id 4): +0.18
-        assert ps.exact_failover_load(4, [0]) == pytest.approx(0.18)
+        assert exact_failover_load(ps, 4, [0]) == pytest.approx(0.18)
 
     def test_single_failure_robust_everywhere(self):
         """'In case of a single server's failure, the service continues
         without interruption.'"""
         ps = self.build()
-        assert brute_force_audit(ps, failures=1).ok
+        assert failure_set_audit(ps, failures=1).ok
         assert audit(ps, failures=1).ok
 
 
@@ -88,7 +89,7 @@ class TestFigure1b:
         # S3 (id 2) holds a3 (0.2) and d3 (0.26): load 0.46.
         assert ps.server(2).load == pytest.approx(0.46)
         # S1 and S2 failing leaves a entirely on S3: +2 x 0.2.
-        extra = ps.exact_failover_load(2, [0, 1])
+        extra = exact_failover_load(ps, 2, [0, 1])
         assert extra == pytest.approx(0.40)
         assert ps.server(2).load + extra == pytest.approx(0.86)
 
@@ -96,8 +97,9 @@ class TestFigure1b:
         """'In case of simultaneous failure of two servers, the system
         continues uninterrupted.'"""
         ps = self.build()
-        assert exact_failure_audit(ps, failures=2).ok
-        assert brute_force_audit(ps, failures=2).ok
+        assert failure_set_audit(ps, failures=2,
+                                 failover=exact_failover_load).ok
+        assert failure_set_audit(ps, failures=2).ok
 
 
 class TestFigure3:
@@ -118,11 +120,10 @@ class TestFigure3:
 
     def test_27_tenants_pairwise_share_at_most_one(self):
         from repro.core.cubefit import CubeFit
-        from repro.core.validation import max_shared_tenants
         # Loads in class 3 for gamma=3: replica in (1/6, 1/5], i.e.
         # tenant load in (1/2, 3/5].
         loads = [0.55] * 27
         algo = CubeFit(gamma=3, num_classes=5, first_stage=False)
         algo.consolidate(make_tenants(loads))
         assert max_shared_tenants(algo.placement) == 1
-        assert brute_force_audit(algo.placement).ok
+        assert failure_set_audit(algo.placement).ok

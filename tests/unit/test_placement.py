@@ -5,6 +5,10 @@ import pytest
 from repro.core.placement import PlacementState
 from repro.core.tenant import Tenant, Replica
 from repro.errors import ConfigurationError, PlacementError
+from tests.oracles import (exact_failover_load, failover_load,
+                           naive_shared_partners, naive_worst_failover_load)
+
+pytestmark = pytest.mark.usefixtures("checked_index")
 
 
 def fresh(gamma=2, servers=0):
@@ -109,31 +113,30 @@ class TestQueries:
         ps.place_tenant(Tenant(0, 0.8), [0, 1])
         # load 0.4, worst failover 0.4 -> slack 0.2
         assert ps.slack(0) == pytest.approx(0.2)
-        assert ps.is_robust(0)
 
     def test_failover_specific_set_conservative(self):
         ps = fresh(gamma=3, servers=4)
         ps.place_tenant(Tenant(0, 0.6), [0, 1, 2])
-        assert ps.failover_load(0, [1]) == pytest.approx(0.2)
-        assert ps.failover_load(0, [1, 2]) == pytest.approx(0.4)
-        assert ps.failover_load(0, [3]) == 0.0
+        assert failover_load(ps, 0, [1]) == pytest.approx(0.2)
+        assert failover_load(ps, 0, [1, 2]) == pytest.approx(0.4)
+        assert failover_load(ps, 0, [3]) == 0.0
 
     def test_exact_failover_splits_between_survivors(self):
         ps = fresh(gamma=3, servers=4)
         ps.place_tenant(Tenant(0, 0.6), [0, 1, 2])
         # one failure: tenant re-shares over 2 survivors: 0.3 each,
         # extra on server 0 = 0.3 - 0.2 = 0.1 (< conservative 0.2)
-        assert ps.exact_failover_load(0, [1]) == pytest.approx(0.1)
+        assert exact_failover_load(ps, 0, [1]) == pytest.approx(0.1)
         # both partners fail: server 0 takes everything: extra 0.4
-        assert ps.exact_failover_load(0, [1, 2]) == pytest.approx(0.4)
+        assert exact_failover_load(ps, 0, [1, 2]) == pytest.approx(0.4)
 
     def test_exact_never_exceeds_conservative(self):
         ps = fresh(gamma=3, servers=5)
         ps.place_tenant(Tenant(0, 0.3), [0, 1, 2])
         ps.place_tenant(Tenant(1, 0.6), [0, 3, 4])
         for failed in ([1], [3], [1, 3], [2, 4], [3, 4]):
-            assert ps.exact_failover_load(0, failed) <= \
-                ps.failover_load(0, failed) + 1e-12
+            assert exact_failover_load(ps, 0, failed) <= \
+                failover_load(ps, 0, failed) + 1e-12
 
     def test_utilization_counts_only_nonempty(self):
         ps = fresh(gamma=2, servers=3)
@@ -178,7 +181,7 @@ class TestSlackIndex:
         ps.place_tenant(Tenant(1, 0.8), [1, 2])
         after = ps.worst_failover_load(1)
         assert after == pytest.approx(0.4)
-        assert after == pytest.approx(ps.naive_worst_failover_load(1))
+        assert after == pytest.approx(naive_worst_failover_load(ps, 1))
 
     def test_dirty_tracker_reports_affected_servers(self):
         ps = fresh(gamma=2, servers=4)
@@ -192,12 +195,14 @@ class TestSlackIndex:
         assert tracker.drain() == set()
 
     def test_tracker_peek_and_mark(self):
+        """A mutation marks the server dirty; peek shows it without
+        draining."""
         ps = fresh(gamma=2, servers=2)
         tracker = ps.dirty_tracker()
         tracker.drain()
-        tracker.mark([1])
-        assert tracker.peek() == {1}
-        assert tracker.drain() == {1}
+        ps.open_server()
+        assert tracker.peek() == {2}
+        assert tracker.drain() == {2}
 
     def test_closed_tracker_stops_accumulating(self):
         ps = fresh(gamma=2, servers=2)
@@ -218,14 +223,5 @@ class TestSlackIndex:
         ps.place_tenant(Tenant(0, 0.3), [0, 1, 2])
         ps.place_tenant(Tenant(1, 0.6), [0, 3, 4])
         for sid in ps.server_ids:
-            naive = ps.naive_shared_partners(sid)
+            naive = naive_shared_partners(ps, sid)
             assert naive == pytest.approx(ps.shared_partners(sid))
-
-    def test_shadow_audit_env_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHADOW_AUDIT", "1")
-        assert PlacementState(gamma=2).shadow_audit
-        monkeypatch.setenv("REPRO_SHADOW_AUDIT", "0")
-        assert not PlacementState(gamma=2).shadow_audit
-        monkeypatch.delenv("REPRO_SHADOW_AUDIT")
-        assert not PlacementState(gamma=2).shadow_audit
-        assert PlacementState(gamma=2, shadow_audit=True).shadow_audit

@@ -4,8 +4,9 @@ import pytest
 
 from repro.algorithms.rfi import RFI, DEFAULT_MU
 from repro.core.tenant import Tenant, make_tenants
-from repro.core.validation import audit, brute_force_audit
+from repro.core.validation import audit
 from repro.errors import ConfigurationError
+from tests.oracles import failure_set_audit
 
 
 class TestConfiguration:
@@ -43,7 +44,7 @@ class TestPlacement:
     def test_brute_force_small(self, seeded_tenants):
         algo = RFI(gamma=2)
         algo.consolidate(seeded_tenants(30, 0.05, 1.0, seed=41))
-        assert brute_force_audit(algo.placement, failures=1).ok
+        assert failure_set_audit(algo.placement, failures=1).ok
 
     def test_not_robust_to_two_failures_in_general(self, seeded_tenants):
         """RFI only reserves for one failure; find a workload where two

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.placement import PlacementState
 from repro.core.tenant import Tenant
-from repro.core.validation import (IncrementalAuditor, audit,
-                                   brute_force_audit,
-                                   exact_failure_audit,
-                                   shared_tenant_counts,
-                                   max_shared_tenants)
+from repro.core.validation import IncrementalAuditor, audit
 from repro.errors import RobustnessViolation
+from tests.oracles import (exact_failover_load, failure_set_audit,
+                           max_shared_tenants, shared_tenant_counts)
+
+pytestmark = pytest.mark.usefixtures("checked_index")
 
 
 def build_violating_placement():
@@ -66,6 +66,24 @@ class TestAudit:
         text = str(audit(ps))
         assert "violations" in text
 
+    def test_overload_is_measured_against_server_capacity(self):
+        """At capacity 2.0 a server with load 1.25 and worst failover
+        1.25 has slack -0.5: it is overloaded by 0.5, not by 1.5."""
+        ps = PlacementState(gamma=2, capacity=2.0)
+        for _ in range(2):
+            ps.open_server()
+        auditor = IncrementalAuditor(ps)
+        for tid, load in enumerate([1.0, 1.0, 0.5]):
+            ps.place_tenant(Tenant(tid, load), [0, 1])
+        for report in (audit(ps), auditor.check()):
+            assert report.min_slack == -0.5
+            assert [v.overload for v in report.violations] \
+                == [-report.min_slack] * 2
+        with pytest.raises(RobustnessViolation,
+                           match="exceeds capacity by 0.500000") as err:
+            audit(ps).raise_if_violated()
+        assert err.value.overload == -audit(ps).min_slack
+
 
 class TestBruteForceAgreement:
     @pytest.mark.parametrize("gamma", [2, 3])
@@ -87,7 +105,7 @@ class TestBruteForceAgreement:
                 except Exception:
                     continue  # capacity exceeded: skip this tenant
             fast = audit(ps)
-            slow = brute_force_audit(ps)
+            slow = failure_set_audit(ps)
             assert fast.ok == slow.ok
             assert fast.min_slack == pytest.approx(slow.min_slack)
 
@@ -108,7 +126,8 @@ class TestBruteForceAgreement:
                 except Exception:
                     continue
             if audit(ps).ok:
-                assert exact_failure_audit(ps).ok
+                assert failure_set_audit(
+                    ps, failover=exact_failover_load).ok
 
 
 class TestSharedTenantCounts:
