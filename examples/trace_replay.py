@@ -8,7 +8,7 @@ Run with::
 Demonstrates the operational toolchain around the placement core:
 
 1. generate a workload and save it as a trace file,
-2. consolidate it, snapshot the placement to disk,
+2. consolidate it, checkpoint the placement to disk,
 3. reload both and verify the reconstruction bit-for-bit,
 4. replay the same trace against a different algorithm (paired
    comparison on identical arrivals),
@@ -20,8 +20,9 @@ import tempfile
 from pathlib import Path
 
 from repro import CubeFit, RFI, RecoveryPlanner, audit
-from repro.workloads import (UniformLoad, generate_sequence, load_placement,
-                             load_trace, save_placement, save_trace)
+from repro.store import diff_placements, load_checkpoint, save_checkpoint
+from repro.workloads import (UniformLoad, generate_sequence, load_trace,
+                             save_trace)
 
 
 def main() -> None:
@@ -34,20 +35,20 @@ def main() -> None:
     save_trace(sequence, trace_path)
     print(f"saved {len(sequence)} tenants -> {trace_path}")
 
-    # 2. Consolidate and snapshot.
+    # 2. Consolidate and checkpoint.
     cubefit = CubeFit(gamma=2, num_classes=10)
     cubefit.consolidate(sequence)
-    save_placement(cubefit.placement, placement_path,
-                   algorithm="cubefit")
+    save_checkpoint(cubefit.placement, placement_path,
+                    algorithm="cubefit")
     print(f"CubeFit used {cubefit.num_servers} servers -> "
           f"{placement_path}")
 
     # 3. Reload and verify.
     replayed = load_trace(trace_path)
-    restored = load_placement(placement_path, replayed)
-    assert restored.snapshot() == cubefit.placement.snapshot()
+    restored = load_checkpoint(placement_path).restore()
+    assert diff_placements(cubefit.placement, restored) == []
     audit(restored).raise_if_violated()
-    print("reload check: snapshot identical, robustness audit OK")
+    print("reload check: placement identical, robustness audit OK")
 
     # 4. Paired comparison on the identical trace.
     rfi = RFI(gamma=2)

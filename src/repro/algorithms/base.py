@@ -72,10 +72,8 @@ class OnlinePlacementAlgorithm(ABC):
     # ------------------------------------------------------------------
     def attach_obs(self, registry) -> None:
         """Attach a :class:`~repro.obs.MetricsRegistry` (or detach with
-        ``None``).  Respects the global ``repro.obs`` off-switch: when
-        observability is disabled the attachment is a no-op."""
-        from ..obs import active
-        self._obs = active(registry)
+        ``None``)."""
+        self._obs = registry
 
     @property
     def obs(self):

@@ -80,8 +80,7 @@ class Repacker:
         self.placement = placement
         self.failures = placement.gamma - 1 if failures is None \
             else failures
-        from ..obs import active
-        self._obs = active(obs)
+        self._obs = obs
 
     def repack(self, max_migrations: Optional[int] = None,
                max_drains: Optional[int] = None) -> RepackPlan:

@@ -210,11 +210,10 @@ def _run_recover(args: argparse.Namespace) -> None:
 
 def _run_metrics(args: argparse.Namespace) -> None:
     from .core.cubefit import CubeFit
-    from .obs import EventJournal, MetricsRegistry, replay, set_enabled
+    from .obs import EventJournal, MetricsRegistry, replay
     from .sim.churn import ChurnConfig, run_churn
     from .workloads.distributions import UniformLoad
 
-    set_enabled(True)  # the subcommand's whole point is observability
     registry = MetricsRegistry(journal=EventJournal())
     config = ChurnConfig(arrival_rate=6.0, mean_lifetime=20.0,
                          horizon=60.0, sample_every=10.0,
@@ -389,7 +388,7 @@ def _run_chaos(args: argparse.Namespace) -> None:
 def _run_serve(args: argparse.Namespace) -> None:
     import signal
 
-    from .obs import MetricsRegistry, set_enabled
+    from .obs import MetricsRegistry
     from .serve import PlacementServer, ServeConfig
 
     if not args.store:
@@ -397,7 +396,6 @@ def _run_serve(args: argparse.Namespace) -> None:
     if not args.socket:
         raise ConfigurationError(
             "the serve command requires --socket PATH")
-    set_enabled(True)  # a daemon without its stats verb is blind
     config = ServeConfig(gamma=args.gamma,
                          queue_size=args.queue_size,
                          checkpoint_interval=args.checkpoint_interval,
@@ -449,12 +447,11 @@ def _run_serve_send(args: argparse.Namespace) -> None:
 def _run_fleet_soak(args: argparse.Namespace) -> None:
     from .fleet import (FleetSoakConfig, run_fleet_soak,
                         run_streaming_soak)
-    from .obs import MetricsRegistry, set_enabled
+    from .obs import MetricsRegistry
 
     if not args.store:
         raise ConfigurationError(
             "the fleet-soak command requires --store DIR (fleet root)")
-    set_enabled(True)  # the p50/p99 latency claim is measured, not inferred
     config = FleetSoakConfig(shards=args.shards, tenants=args.tenants,
                              policy=args.policy, gamma=args.gamma,
                              seed=args.seed)

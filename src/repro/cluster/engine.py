@@ -43,10 +43,8 @@ class Simulator:
         self._seq = itertools.count()
         #: Total events dispatched (for perf reporting).
         self.events_dispatched = 0
-        from ..obs import active
-        gated = active(obs)
-        self._event_counter = gated.counter("sim.events") \
-            if gated is not None else None
+        self._event_counter = obs.counter("sim.events") \
+            if obs is not None else None
 
     def schedule_at(self, time: float,
                     callback: Callable[[], None]) -> EventHandle:

@@ -151,8 +151,6 @@ class ClusterExperiment:
         counts from the :class:`Simulator`, and end-of-run SLA gauges
         (``cluster.p99_seconds``, ``cluster.meets_sla``).
         """
-        from ..obs import active
-        obs = active(obs)
         cfg = self.config
         sim = Simulator(obs=obs)
         rng = np.random.default_rng(cfg.seed)

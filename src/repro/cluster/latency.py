@@ -58,8 +58,7 @@ class LatencyRecorder:
         # Optional metrics feed: every completion (in or out of window)
         # counts under cluster.queries and lands in the latency
         # histogram; drops count under cluster.dropped_queries.
-        from ..obs import active
-        self._obs = active(obs)
+        self._obs = obs
 
     def record(self, completed_at: float, tenant_id: int,
                query_name: str, latency: float,

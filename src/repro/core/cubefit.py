@@ -320,15 +320,6 @@ class CubeFit(OnlinePlacementAlgorithm):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def mature_bin_ids(self) -> List[int]:
-        """Ids of bins currently usable by the first stage."""
-        return [s.server_id for s in self.placement
-                if s.tags.get(TAG_MATURE)]
-
-    def bin_class(self, server_id: int) -> int:
-        """CUBEFIT class of the given bin."""
-        return self.placement.server(server_id).tags[TAG_CLASS]
-
     def describe(self) -> Dict[str, object]:
         info = super().describe()
         info.update({

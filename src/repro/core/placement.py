@@ -69,10 +69,6 @@ class DirtyTracker:
         self._dirty = set()
         return dirty
 
-    def peek(self) -> Set[int]:
-        """The accumulated dirty ids, without clearing them."""
-        return set(self._dirty)
-
     def close(self) -> None:
         """Unsubscribe from the placement's invalidation stream."""
         try:
@@ -365,16 +361,6 @@ class PlacementState:
         if len(values) <= f:
             return sum(values)
         return sum(heapq.nlargest(f, values))
-
-    def slack(self, server_id: int, failures: Optional[int] = None) -> float:
-        """Capacity remaining after load plus worst-case failover load.
-
-        A non-negative slack for every server is exactly the paper's
-        robustness condition for the given failure budget.
-        """
-        server = self.server(server_id)
-        return (server.capacity - server.load
-                - self.worst_failover_load(server_id, failures))
 
     def utilization(self) -> float:
         """Mean load across non-empty servers (paper's 'average server

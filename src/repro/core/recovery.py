@@ -85,8 +85,7 @@ class RecoveryPlanner:
         if self.failures < 0:
             raise ConfigurationError(
                 f"failures must be non-negative, got {self.failures}")
-        from ..obs import active
-        self._obs = active(obs)
+        self._obs = obs
 
     def recover(self, failed: Iterable[int]) -> RecoveryPlan:
         """Relocate every replica off the ``failed`` servers.

@@ -69,7 +69,7 @@ import numpy as np
 from ..errors import ConfigurationError, FaultInjected, SimulatedCrash
 
 #: Environment variable holding comma-separated failpoint specs,
-#: parsed once at import (same pattern as ``REPRO_OBS``).
+#: parsed once at import.
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 ACTIONS = ("raise", "crash", "delay", "corrupt")
@@ -306,10 +306,8 @@ class FailpointRegistry:
     # -- accounting ----------------------------------------------------
     def attach_obs(self, registry) -> None:
         """Mirror firings into ``faults.*`` counters of a
-        :class:`~repro.obs.MetricsRegistry` (gated through the global
-        obs off-switch, like every other attachment)."""
-        from ..obs import active as obs_active
-        self._obs = obs_active(registry)
+        :class:`~repro.obs.MetricsRegistry` (or stop with ``None``)."""
+        self._obs = registry
 
     def fired_counts(self) -> Dict[str, int]:
         """Cumulative firings per failpoint since the last reset."""

@@ -42,7 +42,6 @@ from .. import faults
 from ..core.tenant import Tenant
 from ..errors import (ConfigurationError, FaultInjected, ReproError,
                       ShardDownError, ShardSaturatedError)
-from ..obs import active
 from ..store import diff_acked
 from .fleet import PlacementFleet
 
@@ -158,7 +157,6 @@ def run_fleet_chaos(store_dir: PathLike,
                     obs=None) -> FleetChaosReport:
     """Run the whole-shard chaos drill; see the module docstring."""
     cfg = config if config is not None else FleetChaosConfig()
-    gated = active(obs)
     rng = np.random.default_rng(cfg.seed)
     report = FleetChaosReport(config=cfg, store_dir=str(store_dir))
     fired_before = dict(faults.FAILPOINTS.fired_counts())
@@ -167,7 +165,7 @@ def run_fleet_chaos(store_dir: PathLike,
     fleet = PlacementFleet(
         Path(store_dir), shards=cfg.shards, gamma=cfg.gamma,
         policy=cfg.policy, seed=cfg.seed,
-        max_servers_per_shard=cfg.max_servers_per_shard, obs=gated)
+        max_servers_per_shard=cfg.max_servers_per_shard, obs=obs)
     crash_at = cfg.resolved_crash_at
     recover_at = crash_at + cfg.resolved_downtime
     alive: Dict[int, float] = {}

@@ -26,7 +26,7 @@ from ..algorithms.naive import RobustBestFit
 from ..core.tenant import Tenant
 from ..core.validation import AuditReport, audit
 from ..errors import ConfigurationError, ShardSaturatedError
-from ..store import DurableStore
+from ..store import open_durable
 from ..store.wal import FSYNC_ALWAYS
 
 PathLike = Union[str, Path]
@@ -73,24 +73,12 @@ class ShardController:
         self.directory = Path(directory)
         self.max_servers = max_servers
         self._obs = obs
-        store = DurableStore(self.directory, fsync=fsync,
-                             segment_records=segment_records, obs=obs)
-        if store.has_state:
-            recovered = store.recover()
-            algorithm = RobustBestFit(gamma=recovered.gamma,
-                                      failures=recovered.failures,
-                                      capacity=recovered.capacity)
-            algorithm.adopt(recovered.placement)
-            self.recovered_state = recovered
-        else:
-            algorithm = RobustBestFit(gamma=gamma, failures=failures,
-                                      capacity=capacity)
-            self.recovered_state = None
-        if obs is not None:
-            algorithm.attach_obs(obs)
-        algorithm.attach_store(store)
-        self.store = store
-        self.algorithm = algorithm
+        self.algorithm, self.recovered_state = open_durable(
+            self.directory,
+            lambda: RobustBestFit(gamma=gamma, failures=failures,
+                                  capacity=capacity),
+            fsync=fsync, segment_records=segment_records, obs=obs)
+        self.store = self.algorithm.store
         self._closed = False
         self._opened_at = time.monotonic()
 

@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.tenant import Tenant
 from ..errors import ConfigurationError, ShardSaturatedError
-from ..obs import LATENCY_BUCKETS, active
+from ..obs import LATENCY_BUCKETS
 from ..par import pmap
 from ..store import diff_acked
 from ..store.wal import FSYNC_ALWAYS
@@ -290,12 +290,12 @@ def _close_shard(controller: ShardController, fingerprint: str,
     return outcome
 
 
-def _place_latency(gated) -> Tuple[Optional[float], Optional[float]]:
+def _place_latency(obs) -> Tuple[Optional[float], Optional[float]]:
     """p50 and p99 of the ``placement.place.seconds`` histogram."""
-    if gated is None:
+    if obs is None:
         return None, None
-    histogram = gated.histogram("placement.place.seconds",
-                                buckets=LATENCY_BUCKETS)
+    histogram = obs.histogram("placement.place.seconds",
+                              buckets=LATENCY_BUCKETS)
     if not histogram.count:
         return None, None
     return histogram.percentile(50.0), histogram.percentile(99.0)
@@ -357,7 +357,6 @@ def run_fleet_soak(root: PathLike,
                    obs=None, jobs: int = 1) -> FleetSoakResult:
     """Run the route-then-execute soak; see the module docstring."""
     cfg = config if config is not None else FleetSoakConfig()
-    gated = active(obs)
     root = Path(root)
     sequence = generate_sequence(UniformLoad(cfg.max_load),
                                  cfg.tenants, seed=cfg.seed)
@@ -385,13 +384,13 @@ def run_fleet_soak(root: PathLike,
 
     started = time.perf_counter()
     outcomes: List[ShardOutcome] = pmap(_run_shard, items, jobs=jobs,
-                                        obs=gated)
+                                        obs=obs)
 
     spill_placed = spill_unplaced = 0
     spilled = [pair for outcome in outcomes
                for pair in outcome.spilled]
     if spilled:
-        with PlacementFleet(root, obs=gated) as fleet:
+        with PlacementFleet(root, obs=obs) as fleet:
             for tenant_id, load in spilled:
                 try:
                     fleet.place(Tenant(tenant_id, load))
@@ -420,7 +419,7 @@ def run_fleet_soak(root: PathLike,
     placed = sum(o.tenants for o in outcomes)
     aggregate = sum(o.tenants / o.elapsed for o in outcomes
                     if o.elapsed > 0 and o.tenants)
-    p50, p99 = _place_latency(gated)
+    p50, p99 = _place_latency(obs)
     return FleetSoakResult(
         config=cfg, outcomes=outcomes, placed=placed,
         spill_placed=spill_placed, spill_unplaced=spill_unplaced,
@@ -499,7 +498,6 @@ def run_streaming_soak(root: PathLike,
     cfg = config if config is not None else FleetSoakConfig()
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
-    gated = active(obs)
     root = Path(root)
     load_budget = (None if cfg.max_servers_per_shard is None
                    else float(cfg.max_servers_per_shard))
@@ -513,7 +511,7 @@ def run_streaming_soak(root: PathLike,
     def fresh(shard_id: int) -> ShardController:
         return ShardController(
             shard_id, shard_directory(root, shard_id), gamma=cfg.gamma,
-            max_servers=cfg.max_servers_per_shard, obs=gated,
+            max_servers=cfg.max_servers_per_shard, obs=obs,
             fsync=fsync, segment_records=cfg.segment_records)
 
     shards = [_StreamShard(sid, fresh(sid))
@@ -598,7 +596,7 @@ def run_streaming_soak(root: PathLike,
     aggregate = sum(shard.packing.count / shard.elapsed
                     for shard in shards
                     if shard.elapsed > 0 and shard.packing.count)
-    p50, p99 = _place_latency(gated)
+    p50, p99 = _place_latency(obs)
     return FleetSoakResult(
         config=cfg, outcomes=outcomes, placed=placed,
         spill_placed=spill_placed, spill_unplaced=spill_unplaced,

@@ -13,18 +13,13 @@ Cost model
 ----------
 Observability is **disabled by default**: nothing is recorded unless a
 harness explicitly attaches a registry (e.g.
-``run_soak(factory, obs=MetricsRegistry())``).  Instrumented hot paths
-pay a single ``is None`` check when nothing is attached, so the
-benched placement loop is unaffected.  A global off-switch on top of
-that — :func:`set_enabled`, or the environment variable
-``REPRO_OBS=0`` — turns every attachment into a no-op, guaranteeing a
-run is un-instrumented regardless of what callers pass.
+``run_soak(factory, obs=MetricsRegistry())``), and ``attach_obs(None)``
+detaches it again.  Instrumented hot paths pay a single ``is None``
+check when nothing is attached, so the benched placement loop is
+unaffected.
 """
 
 from __future__ import annotations
-
-import os
-from typing import Optional
 
 from .journal import (EventJournal, JournalEvent, ReplaySummary,
                       iter_jsonl, read_journal, replay)
@@ -40,35 +35,4 @@ __all__ = [
     "span", "current_span",
     "EventJournal", "JournalEvent", "ReplaySummary",
     "read_journal", "iter_jsonl", "replay",
-    "obs_enabled", "set_enabled", "active",
 ]
-
-#: Environment variable consulted once at import; "0"/"false"/"no"/"off"
-#: start the process with observability globally disabled.
-OBS_ENV_VAR = "REPRO_OBS"
-
-_enabled = os.environ.get(OBS_ENV_VAR, "1").strip().lower() \
-    not in ("0", "false", "no", "off")
-
-
-def obs_enabled() -> bool:
-    """Whether the global observability switch is on."""
-    return _enabled
-
-
-def set_enabled(flag: bool) -> None:
-    """Flip the global switch (affects *future* attachments only)."""
-    global _enabled
-    _enabled = bool(flag)
-
-
-def active(registry: Optional[MetricsRegistry]
-           ) -> Optional[MetricsRegistry]:
-    """Gate an attachment through the global switch.
-
-    Instrumented components call this once at attach time:
-    ``self._obs = active(registry)`` — the result is ``None`` whenever
-    the registry is ``None`` or observability is globally disabled, so
-    hot paths only ever test ``is None``.
-    """
-    return registry if (_enabled and registry is not None) else None

@@ -36,7 +36,7 @@ import numpy as np
 
 from .. import faults
 from ..errors import ConfigurationError
-from ..obs import EventJournal, MetricsRegistry, absorb_snapshot, active
+from ..obs import EventJournal, MetricsRegistry, absorb_snapshot
 
 #: Set in forked workers; a nested ``pmap`` inside a worker quietly
 #: runs serially instead of forking grandchildren.
@@ -139,7 +139,6 @@ def pmap(fn: Callable, items: Sequence, jobs: int = 1,
     """
     global _PAYLOAD
     jobs = validate_jobs(jobs)
-    obs = active(obs)
     want_obs = obs is not None
     items = list(items)
     workers = min(jobs, len(items))

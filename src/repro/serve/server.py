@@ -10,9 +10,9 @@ checkpoint + compaction while traffic flows.
 
 Lifecycle
 ---------
-``start()`` opens the store — recovering and adopting prior committed
-state when the directory has any (warm start), else starting a fresh
-placement — binds the socket, and launches the accept, worker, and
+``start()`` opens the store through :func:`repro.store.open_durable` —
+recovering and adopting prior committed state when the directory has
+any (warm start), else starting a fresh placement — binds the socket, and launches the accept, worker, and
 timer threads.  ``stop()`` is the *graceful* path (SIGTERM): stop
 admitting, drain the queue, checkpoint, compact, close the WAL.  A
 :class:`~repro.errors.SimulatedCrash` escaping any seam is the *crash*
@@ -57,8 +57,8 @@ from ..algorithms.naive import RobustBestFit
 from ..core.tenant import Tenant
 from ..errors import (BackpressureError, ConfigurationError, FaultInjected,
                       ProtocolError, ReproError, SimulatedCrash)
-from ..obs import MetricsRegistry, active
-from ..store import DurableStore
+from ..obs import MetricsRegistry
+from ..store import DurableStore, open_durable
 from ..store.wal import FSYNC_ALWAYS
 from .protocol import (MAX_FRAME_BYTES, encode_error, encode_result,
                        parse_request, read_frame)
@@ -75,8 +75,8 @@ CRASH_EXIT_CODE = 70
 class ServeConfig:
     """Tunables of one daemon run."""
 
-    #: Replication factor of a *cold* start (warm starts recover the
-    #: recorded gamma and refuse a mismatch via ``meta.json``).
+    #: Replication factor of a *cold* start (a warm start adopts the
+    #: recorded gamma, whatever this says).
     gamma: int = 2
     capacity: float = 1.0
     #: Bound of the admission queue; a full queue rejects with
@@ -224,8 +224,7 @@ class PlacementServer:
         self.config = config if config is not None else ServeConfig()
         self.store_dir = Path(store_dir)
         self.socket_path = Path(socket_path)
-        self._obs = active(obs if obs is not None
-                           else MetricsRegistry())
+        self._obs = obs if obs is not None else MetricsRegistry()
         self.store: Optional[DurableStore] = None
         self.algorithm: Optional[RobustBestFit] = None
         self._queue: "queue.Queue" = queue.Queue(
@@ -251,24 +250,12 @@ class PlacementServer:
         if self._started:
             raise ConfigurationError("server already started")
         cfg = self.config
-        store = DurableStore(self.store_dir, fsync=cfg.fsync,
-                             segment_records=cfg.segment_records,
-                             obs=self._obs)
-        if store.has_state:
-            recovered = store.recover()
-            self._recovered_state = recovered
-            algorithm = RobustBestFit(gamma=recovered.gamma,
-                                      failures=recovered.failures,
-                                      capacity=recovered.capacity)
-            algorithm.adopt(recovered.placement)
-        else:
-            algorithm = RobustBestFit(gamma=cfg.gamma,
-                                      capacity=cfg.capacity)
-        if self._obs is not None:
-            algorithm.attach_obs(self._obs)
-        algorithm.attach_store(store)
-        self.store = store
-        self.algorithm = algorithm
+        self.algorithm, self._recovered_state = open_durable(
+            self.store_dir,
+            lambda: RobustBestFit(gamma=cfg.gamma, capacity=cfg.capacity),
+            fsync=cfg.fsync, segment_records=cfg.segment_records,
+            obs=self._obs)
+        self.store = self.algorithm.store
 
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self.socket_path.parent.mkdir(parents=True, exist_ok=True)
@@ -283,7 +270,7 @@ class PlacementServer:
             else:
                 probe.close()
                 listener.close()
-                store.close()
+                self.store.close()
                 raise ConfigurationError(
                     f"socket {self.socket_path} is already served")
             finally:

@@ -34,7 +34,7 @@ from ..algorithms.base import OnlinePlacementAlgorithm
 from ..core.validation import audit
 from ..errors import (ConfigurationError, FaultInjected, ReproError,
                       SimulatedCrash)
-from .soak import SoakConfig, SoakResult, _resume, _SoakDriver
+from .soak import SoakConfig, SoakResult, _SoakDriver
 
 #: Failpoints the soak workload reaches on its own (the rest —
 #: par/cluster seams — are exercised by dedicated conformance tests,
@@ -267,34 +267,30 @@ class ChaosReport:
 
 
 def _clone(placement):
-    """Deep-copy a placement via the checkpoint codec (exact loads)."""
-    from ..store.snapshot import Checkpoint
-    servers = {}
-    for server in placement.servers:
-        servers[server.server_id] = (
-            dict(server.tags),
-            [(tid, idx, rep.load)
-             for (tid, idx), rep in sorted(server.replicas.items())])
-    return Checkpoint(
-        gamma=placement.gamma, capacity=placement.capacity,
-        wal_applied=0, next_server_id=placement._next_server_id,
-        servers=servers).restore()
+    """Deep-copy a placement through the checkpoint codec (exact loads)."""
+    from ..store.snapshot import _decode, _encode
+    return _decode(_encode(placement), "<clone>").restore()
 
 
-def _recover_retrying(store_dir, gated, report: ChaosReport):
-    """Recover, retrying through faults injected into recovery itself.
+def _reopen_retrying(store_dir, obs, segment_records: int,
+                     report: ChaosReport):
+    """:func:`repro.store.open_durable`, retried through faults
+    injected into recovery itself.
 
-    Each armed recovery failpoint fires once (typed) and disarms; a
-    bounded number of retries therefore always converges unless the
-    store is *actually* broken, which is a conformance failure.
+    Each armed recovery failpoint fires once (typed) and disarms, and
+    a failed attempt closes its store; a bounded number of retries
+    therefore always converges unless the store is *actually* broken,
+    which is a conformance failure.
     """
-    from ..store import recover as store_recover
+    from ..store import open_durable
     last_error: Optional[ReproError] = None
     for attempt in range(1, _MAX_RECOVERY_ATTEMPTS + 1):
         try:
-            recovered = store_recover(store_dir, obs=gated)
+            reopened = open_durable(store_dir,
+                                    segment_records=segment_records,
+                                    obs=obs)
             report.recoveries += 1
-            return recovered
+            return reopened
         except ReproError as err:
             report.typed_errors += 1
             report.recovery_retries += 1
@@ -322,15 +318,15 @@ def run_chaos_soak(factory: Callable[[], OnlinePlacementAlgorithm],
     surface as typed errors are contained in place (the placement must
     stay audit-clean); :class:`~repro.errors.SimulatedCrash` and any
     fault escaping a store seam kill the controller, which is then
-    recovered from disk, differential-checked against the pre/post
-    operation states, and resumed on a fresh
-    :class:`~repro.algorithms.naive.RobustBestFit` by the same resume
-    step :func:`repro.sim.soak.run_soak_with_crash` uses — so
+    recovered from disk and resumed on a fresh
+    :class:`~repro.algorithms.naive.RobustBestFit` by
+    :func:`repro.store.open_durable`, the same bring-up
+    :func:`repro.sim.soak.run_soak_with_crash` uses, and
+    differential-checked against the pre/post operation states — so
     ``factory`` algorithms with non-reconstructible internal state
     (CUBEFIT) are supported: their run continues under bestfit after
     the first crash.
     """
-    from ..obs import active
     from ..store import DurableStore, diff_placements
 
     cfg = config if config is not None else ChaosConfig()
@@ -340,17 +336,16 @@ def run_chaos_soak(factory: Callable[[], OnlinePlacementAlgorithm],
     for event in schedule:
         events_by_op.setdefault(event.at_op, []).append(event)
 
-    gated = active(obs)
     registry = faults.FAILPOINTS
     baseline = registry.fired_counts()
-    registry.attach_obs(gated)
+    registry.attach_obs(obs)
 
     rng = np.random.default_rng(cfg.seed)
     algorithm = factory()
-    if gated is not None:
-        algorithm.attach_obs(gated)
+    if obs is not None:
+        algorithm.attach_obs(obs)
     store = DurableStore(store_dir, segment_records=segment_records,
-                         obs=gated)
+                         obs=obs)
     algorithm.attach_store(store)
     soak_cfg = SoakConfig(operations=cfg.operations, seed=cfg.seed,
                           min_load=cfg.min_load, max_load=cfg.max_load,
@@ -359,7 +354,7 @@ def run_chaos_soak(factory: Callable[[], OnlinePlacementAlgorithm],
     report = ChaosReport(algorithm=algorithm.name, gamma=algorithm.gamma,
                          seed=cfg.seed, operations=cfg.operations,
                          schedule=schedule, result=result)
-    driver = _SoakDriver(algorithm, soak_cfg, rng, result, gated,
+    driver = _SoakDriver(algorithm, soak_cfg, rng, result, obs,
                          checkpoint_every=cfg.checkpoint_every)
     budget = driver.budget
 
@@ -416,8 +411,9 @@ def run_chaos_soak(factory: Callable[[], OnlinePlacementAlgorithm],
                     # provisioned.
                     report.crashes += 1
                     post = driver.placement
-                    recovered = _recover_retrying(store_dir, gated,
-                                                  report)
+                    resume, recovered = _reopen_retrying(
+                        store_dir, obs, segment_records, report)
+                    store = resume.store
                     diffs_pre = diff_placements(
                         recovered.placement, pre, compare_tags=False,
                         ignore_provisioning=True) if pre is not None \
@@ -433,12 +429,9 @@ def run_chaos_soak(factory: Callable[[], OnlinePlacementAlgorithm],
                                 f"matches neither pre nor post state; "
                                 f"vs-pre: {diffs_pre[:3]}; vs-post: "
                                 f"{diffs_post[:3]}")
-                    resume = _resume(store_dir, recovered, budget,
-                                     gated, segment_records)
-                    store = resume.store
                     alive = reconcile_alive(driver, recovered.placement)
                     driver = _SoakDriver(
-                        resume, soak_cfg, rng, result, gated,
+                        resume, soak_cfg, rng, result, obs,
                         checkpoint_every=cfg.checkpoint_every,
                         alive=alive, next_id=driver.next_id)
                 else:
@@ -478,14 +471,14 @@ def run_chaos_soak(factory: Callable[[], OnlinePlacementAlgorithm],
             report.failures.append(
                 f"failpoint {name}: scheduled {want} firing(s), "
                 f"observed {got}")
-        if gated is not None:
-            counted = gated.counter(f"faults.{name}").value
+        if obs is not None:
+            counted = obs.counter(f"faults.{name}").value
             if counted != got:
                 report.failures.append(
                     f"failpoint {name}: obs counter faults.{name}="
                     f"{counted} disagrees with registry count {got}")
-    if gated is not None:
-        total = gated.counter("faults.fired").value
+    if obs is not None:
+        total = obs.counter("faults.fired").value
         if total != sum(fired_now.values()) - sum(baseline.values()):
             report.failures.append(
                 f"faults.fired={total} disagrees with registry total "

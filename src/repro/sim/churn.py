@@ -141,19 +141,19 @@ class _ChurnState:
 
 
 def _take_sample(at: float, algorithm: OnlinePlacementAlgorithm,
-                 result: ChurnResult, gated) -> None:
+                 result: ChurnResult, obs) -> None:
     sample = _sample(at, algorithm)
     result.samples.append(sample)
-    if gated is not None:
-        gated.gauge("churn.tenants").set(sample.tenants)
-        gated.gauge("churn.servers").set(sample.servers_nonempty)
-        gated.gauge("churn.utilization").set(sample.utilization)
+    if obs is not None:
+        obs.gauge("churn.tenants").set(sample.tenants)
+        obs.gauge("churn.servers").set(sample.servers_nonempty)
+        obs.gauge("churn.utilization").set(sample.utilization)
 
 
 def _drive_churn(algorithm: OnlinePlacementAlgorithm,
                  state: _ChurnState, cfg: ChurnConfig,
                  distribution: LoadDistribution, rng,
-                 result: ChurnResult, gated,
+                 result: ChurnResult, obs,
                  checkpoint_every: Optional[int] = None,
                  stop_after: Optional[int] = None) -> bool:
     """Apply events until the horizon; True when the stream finished.
@@ -173,7 +173,7 @@ def _drive_churn(algorithm: OnlinePlacementAlgorithm,
         # BEFORE applying the event: a sample at exactly `time` sees
         # the state strictly before the event (see docstring).
         while state.next_sample <= time:
-            _take_sample(state.next_sample, algorithm, result, gated)
+            _take_sample(state.next_sample, algorithm, result, obs)
             state.next_sample += cfg.sample_every
         if kind == "arrive":
             load = float(distribution.sample(rng, 1)[0])
@@ -206,20 +206,19 @@ def _drive_churn(algorithm: OnlinePlacementAlgorithm,
 
 def _finish_churn(algorithm: OnlinePlacementAlgorithm,
                   state: _ChurnState, cfg: ChurnConfig,
-                  result: ChurnResult, gated) -> None:
+                  result: ChurnResult, obs) -> None:
     while state.next_sample <= cfg.horizon:
-        _take_sample(state.next_sample, algorithm, result, gated)
+        _take_sample(state.next_sample, algorithm, result, obs)
         state.next_sample += cfg.sample_every
     result.final_robust = audit(algorithm.placement).ok
-    if gated is not None:
-        result.metrics = gated.snapshot()
+    if obs is not None:
+        result.metrics = obs.snapshot()
 
 
 def run_churn(factory: Callable[[], OnlinePlacementAlgorithm],
               distribution: LoadDistribution,
               config: Optional[ChurnConfig] = None,
-              rng=None, obs=None, store=None,
-              checkpoint_every: Optional[int] = None) -> ChurnResult:
+              rng=None, obs=None) -> ChurnResult:
     """Drive one algorithm through a birth-death tenant workload.
 
     **Sampling tie-break.** A sample scheduled at time ``t`` reflects
@@ -235,28 +234,19 @@ def run_churn(factory: Callable[[], OnlinePlacementAlgorithm],
     useful for scripted, deterministic tests.  ``obs`` (a
     :class:`~repro.obs.MetricsRegistry`) instruments the run: fleet
     gauges track each sample and the final snapshot lands in
-    ``ChurnResult.metrics``.  ``store`` (a
-    :class:`~repro.store.DurableStore`) logs every arrival/departure to
-    the write-ahead log and checkpoints (then compacts) every
-    ``checkpoint_every`` applied events, making the run restartable.
+    ``ChurnResult.metrics``.  For a durable, restartable churn run see
+    :func:`run_churn_with_crash`.
     """
     cfg = config if config is not None else ChurnConfig()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     algorithm = factory()
-    from ..obs import active
-    gated = active(obs)
-    if gated is not None:
-        algorithm.attach_obs(gated)
-    if store is not None:
-        if gated is not None:
-            store.attach_obs(gated)
-        algorithm.attach_store(store)
+    if obs is not None:
+        algorithm.attach_obs(obs)
     result = ChurnResult(algorithm=algorithm.name, config=cfg)
     state = _ChurnState(cfg, rng)
-    _drive_churn(algorithm, state, cfg, distribution, rng, result,
-                 gated, checkpoint_every=checkpoint_every)
-    _finish_churn(algorithm, state, cfg, result, gated)
+    _drive_churn(algorithm, state, cfg, distribution, rng, result, obs)
+    _finish_churn(algorithm, state, cfg, result, obs)
     return result
 
 
@@ -294,9 +284,6 @@ def run_churn_with_crash(factory: Callable[[],
                          config: Optional[ChurnConfig] = None,
                          crash_after_events: Optional[int] = None,
                          checkpoint_every: Optional[int] = None,
-                         resume_factory: Optional[
-                             Callable[[], OnlinePlacementAlgorithm]]
-                         = None,
                          obs=None, segment_records: int = 64):
     """Churn run with a simulated controller crash and recovery.
 
@@ -323,29 +310,27 @@ def run_churn_with_crash(factory: Callable[[],
             f"crash_after_events must be >= 1, got {crash_after_events}")
     rng = np.random.default_rng(cfg.seed)
     algorithm = factory()
-    from ..obs import active
-    gated = active(obs)
-    if gated is not None:
-        algorithm.attach_obs(gated)
+    if obs is not None:
+        algorithm.attach_obs(obs)
     store = DurableStore(store_dir, segment_records=segment_records,
-                         obs=gated)
+                         obs=obs)
     algorithm.attach_store(store)
     result = ChurnResult(algorithm=algorithm.name, config=cfg)
     state = _ChurnState(cfg, rng)
     finished = _drive_churn(algorithm, state, cfg, distribution, rng,
-                            result, gated,
+                            result, obs,
                             checkpoint_every=checkpoint_every,
                             stop_after=crash_after_events)
 
     # Simulated crash: no close(), no final checkpoint — only what the
     # WAL committed survives.
     resume, report = _crash_step(store_dir, algorithm, state.alive,
-                                 gated, segment_records, resume_factory,
-                                 result, crash_after_events)
+                                 obs, segment_records, result,
+                                 crash_after_events)
     if not finished:
         _drive_churn(resume, state, cfg, distribution, rng, result,
-                     gated, checkpoint_every=checkpoint_every)
-    _finish_churn(resume, state, cfg, result, gated)
+                     obs, checkpoint_every=checkpoint_every)
+    _finish_churn(resume, state, cfg, result, obs)
     resume.store.close()
     return report
 

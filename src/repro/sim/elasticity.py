@@ -104,10 +104,8 @@ def run_elasticity(factory: Callable[[], OnlinePlacementAlgorithm],
     cfg = config if config is not None else ElasticityConfig()
     rng = np.random.default_rng(cfg.seed)
     algorithm = factory()
-    from ..obs import active
-    gated = active(obs)
-    if gated is not None:
-        algorithm.attach_obs(gated)
+    if obs is not None:
+        algorithm.attach_obs(obs)
     loads = distribution.sample(rng, cfg.n_tenants)
     for tid, load in enumerate(loads):
         algorithm.place(Tenant(tid, float(load)))
@@ -133,9 +131,9 @@ def run_elasticity(factory: Callable[[], OnlinePlacementAlgorithm],
             moved = len(after - before)
             migrated = (new_load / algorithm.placement.gamma) * moved
             result.load_migrated += migrated
-            if gated is not None:
-                gated.counter("elasticity.migrations").inc()
-                gated.histogram("elasticity.migrated_load").observe(
+            if obs is not None:
+                obs.counter("elasticity.migrations").inc()
+                obs.histogram("elasticity.migrated_load").observe(
                     migrated)
         current[tid] = new_load
         if audit_every and (step + 1) % audit_every == 0:
@@ -144,6 +142,6 @@ def run_elasticity(factory: Callable[[], OnlinePlacementAlgorithm],
     if not audit(algorithm.placement).ok:
         result.robust_throughout = False
     result.servers_end = algorithm.placement.num_nonempty_servers
-    if gated is not None:
-        result.metrics = gated.snapshot()
+    if obs is not None:
+        result.metrics = obs.snapshot()
     return result

@@ -114,7 +114,7 @@ class _SoakDriver:
 
     def __init__(self, algorithm: OnlinePlacementAlgorithm,
                  cfg: SoakConfig, rng, result: SoakResult,
-                 gated=None, checkpoint_every: Optional[int] = None,
+                 obs=None, checkpoint_every: Optional[int] = None,
                  alive: Optional[List[int]] = None,
                  next_id: int = 0) -> None:
         self.algorithm = algorithm
@@ -122,7 +122,7 @@ class _SoakDriver:
         self.cfg = cfg
         self.rng = rng
         self.result = result
-        self.gated = gated
+        self.obs = obs
         self.checkpoint_every = checkpoint_every
         self.alive: List[int] = list(alive) if alive is not None else []
         self.next_id = next_id
@@ -156,7 +156,7 @@ class _SoakDriver:
 
     def step(self, op_index: int) -> None:
         cfg, rng, placement = self.cfg, self.rng, self.placement
-        algorithm, result, gated = self.algorithm, self.result, self.gated
+        algorithm, result, obs = self.algorithm, self.result, self.obs
         store = algorithm.store
         op = str(rng.choice(self.names, p=self.weights))
         if op in ("remove", "resize", "fail_and_recover") \
@@ -196,20 +196,20 @@ class _SoakDriver:
             victims = [int(v) for v in rng.choice(nonempty, size=count,
                                                   replace=False)]
             plan = RecoveryPlanner(placement, failures=self.budget,
-                                   obs=gated).recover(victims)
+                                   obs=obs).recover(victims)
             result.recovered_replicas += plan.replicas_relocated
             if store is not None:
                 store.log_open_through(placement._next_server_id)
                 for move in plan.moves:
                     store.log_move(move.tenant_id, move.replica_index,
                                    move.load, move.source, move.target)
-            if gated is not None:
-                gated.counter("soak.servers_failed").inc(count)
-                gated.emit("fail_and_recover", victims=victims,
-                           relocated=plan.replicas_relocated)
+            if obs is not None:
+                obs.counter("soak.servers_failed").inc(count)
+                obs.emit("fail_and_recover", victims=victims,
+                         relocated=plan.replicas_relocated)
         elif op == "repack":
             plan = Repacker(placement, failures=self.budget,
-                            obs=gated).repack(max_drains=2)
+                            obs=obs).repack(max_drains=2)
             result.repacked_servers += len(plan.drained_servers)
             if store is not None:
                 # The repacker never opens servers, but stay defensive.
@@ -218,10 +218,10 @@ class _SoakDriver:
                     store.log_migrate(migration.tenant_id,
                                       migration.load,
                                       migration.targets)
-            if gated is not None:
-                gated.emit("repack",
-                           drained=list(plan.drained_servers),
-                           migrations=len(plan.migrations))
+            if obs is not None:
+                obs.emit("repack",
+                         drained=list(plan.drained_servers),
+                         migrations=len(plan.migrations))
         if store is not None and self.checkpoint_every \
                 and (op_index + 1) % self.checkpoint_every == 0:
             store.checkpoint_and_compact(placement)
@@ -235,8 +235,8 @@ class _SoakDriver:
             result.first_violation_op = self.cfg.operations - 1
         result.final_tenants = placement.num_tenants
         result.final_servers = placement.num_nonempty_servers
-        if self.gated is not None:
-            result.metrics = self.gated.snapshot()
+        if self.obs is not None:
+            result.metrics = self.obs.snapshot()
 
 
 def run_soak(factory: Callable[[], OnlinePlacementAlgorithm],
@@ -261,16 +261,14 @@ def run_soak(factory: Callable[[], OnlinePlacementAlgorithm],
     cfg = config if config is not None else SoakConfig()
     rng = np.random.default_rng(cfg.seed)
     algorithm = factory()
-    from ..obs import active
-    gated = active(obs)
-    if gated is not None:
-        algorithm.attach_obs(gated)
+    if obs is not None:
+        algorithm.attach_obs(obs)
     if store is not None:
-        if gated is not None:
-            store.attach_obs(gated)
+        if obs is not None:
+            store.attach_obs(obs)
         algorithm.attach_store(store)
     result = SoakResult(algorithm=algorithm.name)
-    driver = _SoakDriver(algorithm, cfg, rng, result, gated,
+    driver = _SoakDriver(algorithm, cfg, rng, result, obs,
                          checkpoint_every=checkpoint_every)
     for op_index in range(cfg.operations):
         driver.step(op_index)
@@ -334,47 +332,22 @@ class CrashRecoveryReport:
                 f"replayed={self.records_replayed}, {status})")
 
 
-def _resume(store_dir, recovered, budget: int, gated,
-            segment_records: int,
-            factory: Optional[Callable[[], OnlinePlacementAlgorithm]]
-            = None) -> OnlinePlacementAlgorithm:
-    """Adopt ``recovered`` into the resume controller and attach the
-    reopened :class:`~repro.store.DurableStore` under ``store_dir``.
-
-    The resume controller defaults to
-    :class:`~repro.algorithms.naive.RobustBestFit` at the recovered
-    gamma and capacity and the crashed run's failure ``budget``: the
-    algorithm that crashed may not be adoptable (CUBEFIT's cube state
-    dies with the process; only the placement is durable).
-    """
-    from ..algorithms.naive import RobustBestFit
-    from ..store import DurableStore
-    resume = factory() if factory is not None else RobustBestFit(
-        gamma=recovered.gamma, failures=budget,
-        capacity=recovered.capacity)
-    if gated is not None:
-        resume.attach_obs(gated)
-    resume.adopt(recovered.placement)
-    resume.attach_store(DurableStore(
-        store_dir, segment_records=segment_records, obs=gated))
-    return resume
-
-
 def _crash_step(store_dir, crashed: OnlinePlacementAlgorithm, alive,
-                gated, segment_records: int, factory, result,
-                crash_after: int
+                obs, segment_records: int, result, crash_after: int
                 ) -> Tuple[OnlinePlacementAlgorithm, CrashRecoveryReport]:
     """Drop ``crashed`` with no shutdown and bring up its successor.
 
-    Recovers the store, diffs the recovered placement against the
-    dropped controller's and its tenants against the workload's
-    ``alive`` ones, and resumes through :func:`_resume`.  Tags are
-    left out of the diff: they are checkpoint-durable only (see
-    docs/durability.md); replica assignments, loads, and server
-    inventory must be exact.
+    Resumes through :func:`repro.store.open_durable` (recover, adopt
+    into :class:`~repro.algorithms.naive.RobustBestFit` at the recorded
+    failure budget, attach), then diffs the recovered placement against
+    the dropped controller's and its tenants against the workload's
+    ``alive`` ones.  Tags are left out of the diff: they are
+    checkpoint-durable only (see docs/durability.md); replica
+    assignments, loads, and server inventory must be exact.
     """
-    from ..store import diff_placements, recover
-    recovered = recover(store_dir, obs=gated)
+    from ..store import diff_placements, open_durable
+    resume, recovered = open_durable(
+        store_dir, segment_records=segment_records, obs=obs)
     diffs = diff_placements(crashed.placement, recovered.placement,
                             compare_tags=False)
     if sorted(alive) != recovered.placement.tenant_ids:
@@ -382,8 +355,6 @@ def _crash_step(store_dir, crashed: OnlinePlacementAlgorithm, alive,
             f"alive tenant set diverged: workload has "
             f"{len(alive)} tenants, recovered placement has "
             f"{len(recovered.placement.tenant_ids)}")
-    resume = _resume(store_dir, recovered, crashed.guaranteed_failures,
-                     gated, segment_records, factory)
     return resume, CrashRecoveryReport(
         result=result, crash_after=crash_after,
         records_replayed=recovered.records_replayed,
@@ -396,8 +367,6 @@ def run_soak_with_crash(factory: Callable[[], OnlinePlacementAlgorithm],
                         config: Optional[SoakConfig] = None,
                         crash_after: Optional[int] = None,
                         checkpoint_every: Optional[int] = None,
-                        resume_factory: Optional[
-                            Callable[[], OnlinePlacementAlgorithm]] = None,
                         obs=None,
                         segment_records: int = 64) -> CrashRecoveryReport:
     """Soak run with a simulated controller crash and recovery.
@@ -410,9 +379,12 @@ def run_soak_with_crash(factory: Callable[[], OnlinePlacementAlgorithm],
     audit-clean, then *resumes* the remaining operations on the
     recovered state and finishes the run normally.
 
-    The resumed controller defaults to
-    :class:`~repro.algorithms.naive.RobustBestFit` at the same gamma
-    and failure budget; pass ``resume_factory`` to choose.
+    The resumed controller is what :func:`repro.store.open_durable`
+    builds: :class:`~repro.algorithms.naive.RobustBestFit` at the same
+    gamma and failure budget.  ``store_dir`` must be empty or new: a
+    directory that already holds a history is refused with
+    :class:`~repro.errors.ConfigurationError` before anything is
+    logged.
     """
     from ..store import DurableStore
     cfg = config if config is not None else SoakConfig()
@@ -424,15 +396,13 @@ def run_soak_with_crash(factory: Callable[[], OnlinePlacementAlgorithm],
             f"got {crash_after}")
     rng = np.random.default_rng(cfg.seed)
     algorithm = factory()
-    from ..obs import active
-    gated = active(obs)
-    if gated is not None:
-        algorithm.attach_obs(gated)
+    if obs is not None:
+        algorithm.attach_obs(obs)
     store = DurableStore(store_dir, segment_records=segment_records,
-                         obs=gated)
+                         obs=obs)
     algorithm.attach_store(store)
     result = SoakResult(algorithm=algorithm.name)
-    driver = _SoakDriver(algorithm, cfg, rng, result, gated,
+    driver = _SoakDriver(algorithm, cfg, rng, result, obs,
                          checkpoint_every=checkpoint_every)
     for op_index in range(crash_after):
         driver.step(op_index)
@@ -442,9 +412,9 @@ def run_soak_with_crash(factory: Callable[[], OnlinePlacementAlgorithm],
     # default "always" fsync policy every committed record is already
     # durable, so nothing the stream applied is lost.
     resume, report = _crash_step(store_dir, algorithm, driver.alive,
-                                 gated, segment_records, resume_factory,
-                                 result, crash_after)
-    resumed_driver = _SoakDriver(resume, cfg, rng, result, gated,
+                                 obs, segment_records, result,
+                                 crash_after)
+    resumed_driver = _SoakDriver(resume, cfg, rng, result, obs,
                                  checkpoint_every=checkpoint_every,
                                  alive=driver.alive,
                                  next_id=driver.next_id)

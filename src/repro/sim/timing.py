@@ -99,8 +99,6 @@ def scaling_study(factories: Dict[str, AlgorithmFactory],
     ``obs`` (a :class:`~repro.obs.MetricsRegistry`) is attached to every
     run; the accumulated snapshot lands in ``ScalingStudy.metrics``.
     """
-    from ..obs import active
-    gated = active(obs)
     if not factories:
         raise ConfigurationError("no algorithms to study")
     counts = sorted(set(tenant_counts))
@@ -116,11 +114,11 @@ def scaling_study(factories: Dict[str, AlgorithmFactory],
                                   description=distribution.name,
                                   seed=seed, metadata={"n": n})
         for name, factory in factories.items():
-            stats = run_once(factory, sequence, obs=gated)
+            stats = run_once(factory, sequence, obs=obs)
             study.points.append(ScalingPoint(
                 algorithm=name, tenants=n, servers=stats.servers,
                 seconds=stats.placement_seconds,
                 utilization=stats.utilization))
-    if gated is not None:
-        study.metrics = gated.snapshot()
+    if obs is not None:
+        study.metrics = obs.snapshot()
     return study

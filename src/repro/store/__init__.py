@@ -1,14 +1,15 @@
 """``repro.store`` — durable placement state.
 
 Write-ahead log (:mod:`~repro.store.wal`), self-contained checkpoints
-(:mod:`~repro.store.snapshot`), and checkpoint-plus-tail crash recovery
+(:mod:`~repro.store.snapshot`), checkpoint-plus-tail crash recovery and
+the one durable bring-up, :func:`open_durable`
 (:mod:`~repro.store.recovery`).  See ``docs/durability.md`` for the
 on-disk formats and the recovery invariants.
 """
 
 from __future__ import annotations
 
-from .recovery import DurableStore, RecoveredState, recover
+from .recovery import DurableStore, RecoveredState, open_durable, recover
 from .snapshot import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION, Checkpoint,
                        diff_acked, diff_placements, load_checkpoint,
                        save_checkpoint)
@@ -21,5 +22,5 @@ __all__ = [
     "Checkpoint", "save_checkpoint", "load_checkpoint",
     "diff_placements", "diff_acked",
     "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION",
-    "DurableStore", "RecoveredState", "recover",
+    "DurableStore", "RecoveredState", "open_durable", "recover",
 ]

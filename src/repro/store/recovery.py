@@ -27,6 +27,13 @@ unparsed), runs the full ``failures``-failure robustness audit, and only
 then hands the state back.  :meth:`DurableStore.compact` deletes the WAL
 segments a checkpoint has made redundant; compaction never changes what
 :func:`recover` returns.
+
+:func:`open_durable` is the one bring-up of a durable controller: it
+opens the store, recovers and adopts whatever history the directory
+holds (or builds a fresh controller for an empty one), and binds the
+store.  A handle that opened onto a history refuses to bind any
+controller before it has recovered that history, so no caller can
+append a second history to the same WAL.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.placement import PlacementState
 from ..core.tenant import Replica, Tenant
@@ -95,8 +102,7 @@ class DurableStore:
         so a typoed path is a :class:`ConfigurationError`, not a fresh
         empty store that "recovers" to nothing.
     obs:
-        Optional :class:`~repro.obs.MetricsRegistry`; gated through the
-        global ``repro.obs`` off-switch like every other attachment.
+        Optional :class:`~repro.obs.MetricsRegistry`.
     """
 
     def __init__(self, directory: PathLike, fsync: str = FSYNC_ALWAYS,
@@ -110,8 +116,7 @@ class DurableStore:
         self.wal = WriteAheadLog(self.directory / WAL_DIRNAME,
                                  fsync=fsync,
                                  segment_records=segment_records)
-        from ..obs import active
-        self._obs = active(obs)
+        self._obs = obs
         #: Highest server id for which an ``open_server`` record exists
         #: (as a count); maintained by :meth:`log_open_through`.
         self._servers_logged = 0
@@ -119,6 +124,9 @@ class DurableStore:
         meta_path = self.directory / META_NAME
         if meta_path.exists():
             self._meta = _read_meta(meta_path)
+        #: True while the directory holds a history this handle has not
+        #: recovered; :meth:`bind` refuses until :meth:`recover` clears it.
+        self._unrecovered = self.has_state
 
     # ------------------------------------------------------------------
     # Paths / metadata
@@ -141,15 +149,14 @@ class DurableStore:
         """Whether this directory holds anything :meth:`recover` could
         rebuild from (a bound ``meta.json`` or a checkpoint).
 
-        Long-lived services use this to decide between a cold start
-        (fresh placement) and a warm start (recover and adopt) without
-        duplicating the recovery preconditions.
+        Probed once when the handle opens: :func:`open_durable` reads
+        that probe to choose a warm start (recover and adopt) over a
+        fresh one, and :meth:`bind` to refuse an unrecovered history.
         """
         return self._meta is not None or self.checkpoint_path.exists()
 
     def attach_obs(self, registry) -> None:
-        from ..obs import active
-        self._obs = active(registry)
+        self._obs = registry
 
     def bind(self, algorithm) -> None:
         """Associate this store with ``algorithm`` (and vice versa not —
@@ -161,7 +168,17 @@ class DurableStore:
         The ``open_server`` watermark starts at the placement's current
         next-server-id: servers that already exist are part of the
         recovered history, not new operations.
+
+        A handle that opened onto existing state refuses to bind before
+        :meth:`recover` has run on it: a controller that never saw the
+        recorded history would log a second history into the same WAL,
+        and the next recovery could not replay it.
         """
+        if self._unrecovered:
+            raise ConfigurationError(
+                f"store {self.directory} already holds a history; "
+                f"recover it before binding a controller "
+                f"(repro.store.open_durable does both)")
         meta = {
             "format": META_FORMAT,
             "version": META_VERSION,
@@ -386,6 +403,7 @@ class DurableStore:
                            tenants=placement.num_tenants,
                            audit_ok=report.ok)
         report.raise_if_violated()
+        self._unrecovered = False
         return RecoveredState(
             placement=placement, algorithm=algorithm, gamma=gamma,
             capacity=capacity, failures=failures,
@@ -403,6 +421,43 @@ def recover(directory: PathLike, obs=None,
     """
     with DurableStore(directory, create=False, obs=obs) as store:
         return store.recover(audit_failures=audit_failures)
+
+
+def open_durable(directory: PathLike,
+                 fresh: Optional[Callable[[], object]] = None, *,
+                 fsync: str = FSYNC_ALWAYS, segment_records: int = 512,
+                 obs=None) -> Tuple[object, Optional[RecoveredState]]:
+    """Open the store under ``directory`` and bind a controller to it.
+
+    A directory that holds a history is recovered (full audit) and its
+    placement adopted into a
+    :class:`~repro.algorithms.naive.RobustBestFit` at the recovered
+    gamma, capacity and failure budget; an empty one gets ``fresh()``.
+    ``fresh=None`` means the directory must hold a history (a crash
+    resume).  ``obs`` is attached to the store and the controller, then
+    the store is attached.  Returns ``(algorithm, recovered)``, with
+    ``recovered`` ``None`` on a fresh start.  The store is closed if any
+    step raises, so the call can simply be retried.
+    """
+    from ..algorithms.naive import RobustBestFit
+    store = DurableStore(directory, fsync=fsync,
+                         segment_records=segment_records, obs=obs)
+    try:
+        recovered = None
+        if store._unrecovered or fresh is None:
+            recovered = store.recover()
+            algorithm = RobustBestFit(gamma=recovered.gamma,
+                                      failures=recovered.failures,
+                                      capacity=recovered.capacity)
+            algorithm.adopt(recovered.placement)
+        else:
+            algorithm = fresh()
+        algorithm.attach_obs(obs)
+        algorithm.attach_store(store)
+    except BaseException:
+        store.close()
+        raise
+    return algorithm, recovered
 
 
 # ---------------------------------------------------------------------------
@@ -474,4 +529,4 @@ def _read_meta(path: Path) -> Dict[str, object]:
     return payload
 
 
-__all__ = ["DurableStore", "RecoveredState", "recover"]
+__all__ = ["DurableStore", "RecoveredState", "open_durable", "recover"]

@@ -1,15 +1,12 @@
 """Self-contained placement checkpoints (format version 2).
 
-The v1 ``repro-placement`` snapshot (:mod:`repro.workloads.trace_io`)
-stores only replica *assignments* and re-derives loads from a companion
-trace, which makes it useless for crash recovery: it cannot express
-elastic load updates (the trace has the arrival load, not the current
-one), fan-out states whose replica indices are not ``0..gamma-1``, or
-replicas with unequal loads.  Format v2 is self-contained — it stores
-``gamma``, the per-server capacity, every replica's exact load, the
-server tags algorithms hang their bookkeeping on (e.g. CUBEFIT's
-``mature`` flag), and the next-server-id counter — so a checkpoint plus
-a WAL tail fully determines the controller's placement state::
+The one placement file format.  A checkpoint is self-contained — it
+stores ``gamma``, the per-server capacity, every replica's exact load
+(so elastic load updates, fan-out replica indices and unequal replica
+loads all survive), the server tags algorithms hang their bookkeeping
+on (e.g. CUBEFIT's ``mature`` flag), and the next-server-id counter —
+so a checkpoint plus a WAL tail fully determines the controller's
+placement state::
 
     {"format": "repro-checkpoint", "version": 2,
      "algorithm": "cubefit", "gamma": 2, "capacity": 1.0,
@@ -146,18 +143,10 @@ def write_atomic(path: Path, text: str) -> None:
     _fsync_directory(path.parent)
 
 
-def save_checkpoint(placement: PlacementState, path: PathLike,
-                    wal_applied: int = 0, algorithm: str = "") -> None:
-    """Write a v2 checkpoint of ``placement`` atomically.
-
-    The payload is encoded in full first (a field the encoder rejects
-    raises before any file exists), written to a temporary file with
-    one call, fsynced and ``os.replace``-d into place, so a crash
-    mid-checkpoint leaves either the previous checkpoint or the new one
-    — never a half-written file.  The directory is fsynced after the
-    rename, so the new checkpoint is durable before the caller compacts
-    the WAL segments it made redundant.
-    """
+def _encode(placement: PlacementState, wal_applied: int = 0,
+            algorithm: str = "") -> Dict[str, object]:
+    """The checkpoint payload of ``placement``: the one encoder, shared
+    by :func:`save_checkpoint` and in-memory copies."""
     if wal_applied < 0:
         raise ConfigurationError(
             f"wal_applied must be >= 0, got {wal_applied}")
@@ -170,7 +159,7 @@ def save_checkpoint(placement: PlacementState, path: PathLike,
                          for (tenant_id, index), replica
                          in sorted(server.replicas.items())],
         })
-    payload = {
+    return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "algorithm": algorithm,
@@ -180,6 +169,50 @@ def save_checkpoint(placement: PlacementState, path: PathLike,
         "next_server_id": placement._next_server_id,
         "servers": servers,
     }
+
+
+def _decode(payload: Dict[str, object], source: PathLike) -> Checkpoint:
+    """Parse a checkpoint payload: the one decoder, shared by
+    :func:`load_checkpoint` and in-memory copies."""
+    if payload.get("format") != CHECKPOINT_FORMAT:
+        raise ConfigurationError(
+            f"{source}: expected format {CHECKPOINT_FORMAT!r}, got "
+            f"{payload.get('format')!r}")
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise ConfigurationError(
+            f"{source}: unsupported checkpoint version "
+            f"{payload.get('version')!r}")
+    try:
+        checkpoint = Checkpoint(
+            gamma=int(payload["gamma"]),
+            capacity=float(payload["capacity"]),
+            wal_applied=int(payload["wal_applied"]),
+            next_server_id=int(payload["next_server_id"]),
+            algorithm=str(payload.get("algorithm", "")))
+        for entry in payload["servers"]:
+            replicas = [(int(t), int(i), float(load))
+                        for t, i, load in entry["replicas"]]
+            checkpoint.servers[int(entry["id"])] = (
+                dict(entry.get("tags", {})), replicas)
+    except (KeyError, TypeError, ValueError) as err:
+        raise StoreCorruptionError(
+            f"{source}: malformed checkpoint payload ({err})") from None
+    return checkpoint
+
+
+def save_checkpoint(placement: PlacementState, path: PathLike,
+                    wal_applied: int = 0, algorithm: str = "") -> None:
+    """Write a v2 checkpoint of ``placement`` atomically.
+
+    The payload is encoded in full first (a field the encoder rejects
+    raises before any file exists), written to a temporary file with
+    one call, fsynced and ``os.replace``-d into place, so a crash
+    mid-checkpoint leaves either the previous checkpoint or the new one
+    — never a half-written file.  The directory is fsynced after the
+    rename, so the new checkpoint is durable before the caller compacts
+    the WAL segments it made redundant.
+    """
+    payload = _encode(placement, wal_applied, algorithm)
     # ``json.dumps`` runs CPython's C encoder; ``json.dump`` to a file
     # never does and makes thousands of small writes.
     text = json.dumps(payload, sort_keys=True, default=_jsonable)
@@ -215,30 +248,7 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigurationError(
             f"cannot read checkpoint {path}: {err}") from err
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigurationError(
-            f"{path}: expected format {CHECKPOINT_FORMAT!r}, got "
-            f"{payload.get('format')!r}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(
-            f"{path}: unsupported checkpoint version "
-            f"{payload.get('version')!r}")
-    try:
-        checkpoint = Checkpoint(
-            gamma=int(payload["gamma"]),
-            capacity=float(payload["capacity"]),
-            wal_applied=int(payload["wal_applied"]),
-            next_server_id=int(payload["next_server_id"]),
-            algorithm=str(payload.get("algorithm", "")))
-        for entry in payload["servers"]:
-            replicas = [(int(t), int(i), float(load))
-                        for t, i, load in entry["replicas"]]
-            checkpoint.servers[int(entry["id"])] = (
-                dict(entry.get("tags", {})), replicas)
-    except (KeyError, TypeError, ValueError) as err:
-        raise StoreCorruptionError(
-            f"{path}: malformed checkpoint payload ({err})") from None
-    return checkpoint
+    return _decode(payload, path)
 
 
 def diff_placements(a: PlacementState, b: PlacementState,

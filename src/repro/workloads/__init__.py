@@ -11,8 +11,7 @@ from .loadmodel import (LinearLoadModel, BoundaryPoint, fit_boundary,
 from .tpch import (QueryTemplate, QueryStream, QueryExecution,
                    read_templates, update_template, mean_read_demand,
                    UPDATE_FRACTION, DEMAND_SCALE)
-from .trace_io import (save_trace, load_trace, save_placement,
-                       load_placement)
+from .trace_io import save_trace, load_trace
 
 __all__ = [
     "LoadDistribution", "ClientCountDistribution", "UniformLoad",
@@ -23,5 +22,5 @@ __all__ = [
     "DEFAULT_LOAD_MODEL", "QueryTemplate", "QueryStream",
     "QueryExecution", "read_templates", "update_template",
     "mean_read_demand", "UPDATE_FRACTION", "DEMAND_SCALE",
-    "save_trace", "load_trace", "save_placement", "load_placement",
+    "save_trace", "load_trace",
 ]

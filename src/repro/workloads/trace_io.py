@@ -1,34 +1,30 @@
-"""Saving and replaying tenant traces and placement snapshots.
+"""Saving and replaying tenant traces.
 
-Experiments become auditable when their inputs and outputs are files:
-this module serializes tenant sequences (the *input* of a consolidation
-run) and placement assignments (the *output*) to a stable JSON format,
-so runs can be diffed, replayed against other algorithms, or shipped as
-regression fixtures.
+Experiments become auditable when their inputs are files: this module
+serializes tenant sequences (the *input* of a consolidation run) to a
+stable JSON format, so runs can be diffed, replayed against other
+algorithms, or shipped as regression fixtures.  A run's *output*, the
+placement, is saved as a checkpoint
+(:func:`repro.store.save_checkpoint`), which carries every replica's
+exact load.
 
 Format (version 1)::
 
     {"format": "repro-trace", "version": 1,
      "description": "...", "seed": 7,
      "tenants": [{"id": 0, "load": 0.25}, ...]}
-
-    {"format": "repro-placement", "version": 1,
-     "gamma": 2, "algorithm": "cubefit",
-     "servers": {"0": [[tenant, replica], ...], ...}}
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import List, Union
 
-from ..core.placement import PlacementState
 from ..core.tenant import Tenant, TenantSequence
 from ..errors import ConfigurationError
 
 TRACE_FORMAT = "repro-trace"
-PLACEMENT_FORMAT = "repro-placement"
 VERSION = 1
 
 PathLike = Union[str, Path]
@@ -51,8 +47,8 @@ def load_trace(path: PathLike) -> TenantSequence:
     """Read a tenant sequence previously written by :func:`save_trace`.
 
     Tenant ids must be unique: a duplicated id would make every
-    id-keyed consumer (:func:`load_placement`, removal, resize)
-    silently pick one of the conflicting loads, so it is rejected here.
+    id-keyed consumer (removal, resize) silently pick one of the
+    conflicting loads, so it is rejected here.
     """
     payload = _read(path, TRACE_FORMAT)
     tenants = [Tenant(tenant_id=entry["id"], load=entry["load"])
@@ -62,54 +58,6 @@ def load_trace(path: PathLike) -> TenantSequence:
                           description=payload.get("description", ""),
                           seed=payload.get("seed"),
                           metadata={"source": str(path)})
-
-
-def save_placement(placement: PlacementState, path: PathLike,
-                   algorithm: str = "") -> None:
-    """Write a placement's replica assignment to ``path`` as JSON."""
-    payload = {
-        "format": PLACEMENT_FORMAT,
-        "version": VERSION,
-        "gamma": placement.gamma,
-        "algorithm": algorithm,
-        "servers": {str(sid): [list(key) for key in keys]
-                    for sid, keys in placement.snapshot().items()},
-    }
-    Path(path).write_text(json.dumps(payload, indent=1))
-
-
-def load_placement(path: PathLike,
-                   sequence: TenantSequence) -> PlacementState:
-    """Rebuild a :class:`PlacementState` from a snapshot plus the trace
-    that produced it (the snapshot stores assignments, not loads)."""
-    payload = _read(path, PLACEMENT_FORMAT)
-    gamma = payload["gamma"]
-    # A duplicated tenant id in the trace would silently resolve to
-    # whichever load came last; refuse instead.
-    _reject_duplicate_ids(sequence, path)
-    loads: Dict[int, float] = {t.tenant_id: t.load for t in sequence}
-    placement = PlacementState(gamma=gamma)
-    max_sid = max((int(s) for s in payload["servers"]), default=-1)
-    for _ in range(max_sid + 1):
-        placement.open_server()
-    # Collect each tenant's replica homes, then place atomically.
-    homes: Dict[int, Dict[int, int]] = {}
-    for sid_str, keys in payload["servers"].items():
-        for tenant_id, replica_index in keys:
-            homes.setdefault(tenant_id, {})[replica_index] = int(sid_str)
-    for tenant_id, by_index in homes.items():
-        if tenant_id not in loads:
-            raise ConfigurationError(
-                f"placement references tenant {tenant_id} absent from "
-                f"the trace")
-        if sorted(by_index) != list(range(gamma)):
-            raise ConfigurationError(
-                f"tenant {tenant_id}: snapshot has replica indices "
-                f"{sorted(by_index)}, expected 0..{gamma - 1}")
-        servers = [by_index[j] for j in range(gamma)]
-        placement.place_tenant(Tenant(tenant_id, loads[tenant_id]),
-                               servers)
-    return placement
 
 
 def _reject_duplicate_ids(tenants, path: PathLike) -> None:

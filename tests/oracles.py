@@ -59,7 +59,8 @@ def naive_worst_failover_load(placement, server_id, failures=None):
 
 
 def naive_slack(placement, server_id, failures=None):
-    """``slack`` recomputed from the replica sets."""
+    """Capacity minus load minus worst failover load, recomputed from
+    the replica sets."""
     server = placement.server(server_id)
     return (server.capacity - server.load
             - naive_worst_failover_load(placement, server_id, failures))

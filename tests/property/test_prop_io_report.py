@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.report import Table
 from repro.core.tenant import TenantSequence, make_tenants
-from repro.workloads.trace_io import (load_placement, load_trace,
-                                      save_placement, save_trace)
+from repro.workloads.trace_io import load_trace, save_trace
 
 loads_strategy = st.lists(
     st.floats(min_value=1e-4, max_value=1.0,
@@ -27,26 +26,6 @@ def test_trace_roundtrip_is_lossless(tmp_path_factory, loads, seed):
         [t.tenant_id for t in sequence]
 
 
-@given(loads=loads_strategy, gamma=st.sampled_from([2, 3]))
-@settings(max_examples=25, deadline=None)
-def test_placement_roundtrip_is_lossless(tmp_path_factory, loads, gamma):
-    from repro.core.cubefit import CubeFit
-    base = tmp_path_factory.mktemp("placements")
-    sequence = TenantSequence(tenants=make_tenants(loads))
-    algo = CubeFit(gamma=gamma, num_classes=5)
-    algo.consolidate(sequence)
-    trace_path, placement_path = base / "t.json", base / "p.json"
-    save_trace(sequence, trace_path)
-    save_placement(algo.placement, placement_path)
-    restored = load_placement(placement_path, load_trace(trace_path))
-    assert restored.snapshot() == algo.placement.snapshot()
-    # shared-load state is reconstructed, not just assignments
-    for a in restored.server_ids:
-        for b in restored.shared_partners(a):
-            assert abs(restored.shared_load(a, b)
-                       - algo.placement.shared_load(a, b)) < 1e-9
-
-
 @given(loads=loads_strategy)
 @settings(max_examples=40, deadline=None)
 def test_trace_floats_survive_json_bitwise(tmp_path_factory, loads):
@@ -58,26 +37,6 @@ def test_trace_floats_survive_json_bitwise(tmp_path_factory, loads):
     save_trace(TenantSequence(tenants=make_tenants(loads)), path)
     for original, loaded in zip(loads, load_trace(path).loads):
         assert struct.pack("<d", original) == struct.pack("<d", loaded)
-
-
-@given(loads=loads_strategy, gamma=st.sampled_from([1, 2, 3]))
-@settings(max_examples=25, deadline=None)
-def test_placement_roundtrip_loads_exact(tmp_path_factory, loads, gamma):
-    from repro.algorithms.naive import RobustBestFit
-    base = tmp_path_factory.mktemp("placements")
-    sequence = TenantSequence(tenants=make_tenants(loads))
-    algo = RobustBestFit(gamma=gamma)
-    for tenant in sequence:
-        algo.place(tenant)
-    trace_path, placement_path = base / "t.json", base / "p.json"
-    save_trace(sequence, trace_path)
-    save_placement(algo.placement, placement_path)
-    restored = load_placement(placement_path, load_trace(trace_path))
-    assert restored.snapshot() == algo.placement.snapshot()
-    for sid in restored.server_ids:
-        original = algo.placement.server(sid)
-        for key, replica in restored.server(sid).replicas.items():
-            assert replica.load == original.replicas[key].load
 
 
 cells = st.one_of(st.integers(min_value=-10**6, max_value=10**6),

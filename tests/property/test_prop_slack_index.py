@@ -23,6 +23,12 @@ pytestmark = pytest.mark.usefixtures("checked_index")
 MAX_SERVERS = 8
 
 
+def cached_slack(ps, sid):
+    """Slack at the full budget, through the cached index."""
+    server = ps.server(sid)
+    return server.capacity - server.load - ps.worst_failover_load(sid)
+
+
 def assert_index_matches_naive(ps):
     """Every cached slack quantity equals naive recomputation."""
     budgets = sorted({1, ps.gamma - 1, ps.gamma})
@@ -33,8 +39,8 @@ def assert_index_matches_naive(ps):
             assert cached == pytest.approx(naive, abs=1e-9), (
                 f"server {sid} failures={f}: cached {cached} "
                 f"vs naive {naive}")
-        assert ps.slack(sid) == pytest.approx(naive_slack(ps, sid),
-                                              abs=1e-9)
+        assert cached_slack(ps, sid) == pytest.approx(
+            naive_slack(ps, sid), abs=1e-9)
 
 
 @given(gamma=st.integers(2, 4), data=st.data())
@@ -103,7 +109,7 @@ def test_dirty_tracker_covers_every_affected_server(gamma, data):
         ps.open_server()
     tracker = ps.dirty_tracker()
     tracker.drain()
-    known = {sid: ps.slack(sid) for sid in ps.server_ids}
+    known = {sid: cached_slack(ps, sid) for sid in ps.server_ids}
     next_tid = 0
     for step in range(data.draw(st.integers(3, 15), label="n_ops")):
         op = data.draw(st.sampled_from(["place_tenant", "remove_tenant"]),
@@ -123,7 +129,7 @@ def test_dirty_tracker_covers_every_affected_server(gamma, data):
                                label="victim")
             ps.remove_tenant(victim)
         for sid in tracker.drain():
-            known[sid] = ps.slack(sid)
+            known[sid] = cached_slack(ps, sid)
         # If invalidation missed a server, its stale entry in `known`
         # would now disagree with ground truth.
         for sid in ps.server_ids:

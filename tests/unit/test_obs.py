@@ -3,9 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import (EventJournal, MetricsRegistry, active,
-                       current_span, iter_jsonl, merge_snapshots,
-                       obs_enabled, read_journal, replay, set_enabled,
+from repro.obs import (EventJournal, MetricsRegistry, current_span,
+                       iter_jsonl, merge_snapshots, read_journal, replay,
                        span)
 from repro.obs.metrics import Counter, Gauge, Histogram
 
@@ -259,17 +258,3 @@ class TestJournal:
         with pytest.raises(ConfigurationError):
             replay(reversed(events))
 
-
-class TestGlobalSwitch:
-    def test_active_gates_none_and_disabled(self):
-        reg = MetricsRegistry()
-        assert active(None) is None
-        assert active(reg) is reg
-        set_enabled(False)
-        try:
-            assert not obs_enabled()
-            assert active(reg) is None
-        finally:
-            set_enabled(True)
-        assert obs_enabled()
-        assert active(reg) is reg

@@ -6,7 +6,7 @@ import pytest
 from repro.core.cubefit import CubeFit
 from repro.core.recovery import RecoveryPlanner
 from repro.core.tenant import Tenant
-from repro.obs import EventJournal, MetricsRegistry, replay, set_enabled
+from repro.obs import EventJournal, MetricsRegistry, replay
 from repro.sim.churn import ChurnConfig, run_churn
 from repro.sim.elasticity import ElasticityConfig, run_elasticity
 from repro.sim.soak import SoakConfig, run_soak
@@ -139,19 +139,6 @@ class TestDifferentialDisabledIdentical:
         assert plain.samples == instr.samples
         assert plain.arrivals == instr.arrivals
         assert plain.departures == instr.departures
-
-    def test_global_off_switch_blanks_everything(self):
-        reg = instrumented()
-        set_enabled(False)
-        try:
-            result = run_soak(cubefit, SoakConfig(operations=80, seed=2),
-                              obs=reg)
-        finally:
-            set_enabled(True)
-        assert result.ok
-        assert result.metrics is None
-        assert len(reg) == 0
-        assert len(reg.journal) == 0
 
 
 class TestHarnessMetricsFields:

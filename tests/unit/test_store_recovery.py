@@ -10,15 +10,17 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults
 from repro.algorithms.naive import (RobustBestFit, RobustFirstFit,
                                     RobustNextFit)
 from repro.algorithms.rfi import RFI
 from repro.core.cubefit import CubeFit
 from repro.core.tenant import Tenant
-from repro.errors import (ConfigurationError, RobustnessViolation,
-                          StoreCorruptionError)
+from repro.errors import (ConfigurationError, FaultInjected,
+                          RobustnessViolation, StoreCorruptionError)
 from repro.obs import EventJournal, MetricsRegistry
-from repro.store import DurableStore, diff_placements, recover
+from repro.sim.soak import SoakConfig, run_soak
+from repro.store import DurableStore, diff_placements, open_durable, recover
 from repro.store import recovery as store_recovery
 
 
@@ -79,7 +81,8 @@ class TestBindAndMeta:
         RobustBestFit(gamma=2).attach_store(store)
         store.close()
         store2 = store_factory()
-        with pytest.raises(ConfigurationError):
+        store2.recover()  # else the unrecovered-history refusal fires
+        with pytest.raises(ConfigurationError, match="created with gamma=2"):
             RobustBestFit(gamma=3).attach_store(store2)
 
     def test_missing_store_requires_create(self, tmp_path):
@@ -310,6 +313,81 @@ class TestAdopt:
         resume.place(Tenant(0, 0.2))
         with pytest.raises(ConfigurationError):
             resume.adopt(state.placement)
+
+
+class TestOpenDurable:
+    def test_second_run_on_a_used_directory_is_refused(self, tmp_path):
+        # Without the refusal both soaks are acked and ok, and the next
+        # recovery raises StoreCorruptionError: the second run logs its
+        # own open_server records from id 0 onto the first run's WAL.
+        directory = tmp_path / "st"
+        built = []
+
+        def factory():
+            built.append(RobustBestFit(gamma=2))
+            return built[-1]
+
+        with DurableStore(directory) as store:
+            first = run_soak(factory, SoakConfig(operations=40, seed=0),
+                             store=store, checkpoint_every=100)
+        assert first.ok
+        on_disk = {path.name: path.read_bytes()
+                   for path in sorted(directory.rglob("*"))
+                   if path.is_file()}
+        with DurableStore(directory) as store:
+            with pytest.raises(ConfigurationError,
+                               match="already holds a history"):
+                run_soak(factory, SoakConfig(operations=40, seed=1),
+                         store=store, checkpoint_every=100)
+        assert {path.name: path.read_bytes()
+                for path in sorted(directory.rglob("*"))
+                if path.is_file()} == on_disk
+        assert diff_placements(built[0].placement,
+                               recover(directory).placement,
+                               compare_tags=False) == []
+
+    def test_recovery_fault_closes_the_store_and_a_retry_succeeds(
+            self, tmp_path, store_factory, monkeypatch):
+        algo = RobustBestFit(gamma=2)
+        algo.attach_store(store_factory())
+        _run_ops(algo, count=10)
+        closed = []
+        real_close = DurableStore.close
+
+        def close(store):
+            closed.append(store)
+            real_close(store)
+
+        monkeypatch.setattr(DurableStore, "close", close)
+        with faults.injected("store.recover.replay", action="raise"):
+            with pytest.raises(FaultInjected):
+                open_durable(tmp_path / "st")
+        assert len(closed) == 1
+        resume, state = open_durable(tmp_path / "st")
+        try:
+            assert state.records_replayed > 0
+            assert resume.placement is state.placement
+            assert diff_placements(algo.placement, resume.placement,
+                                   compare_tags=False) == []
+            before = resume.store.wal.next_seq
+            resume.place(Tenant(100, 0.3))
+            assert resume.store.wal.next_seq > before
+        finally:
+            resume.store.close()
+
+    def test_fresh_start_builds_fresh_and_resume_needs_a_history(
+            self, tmp_path):
+        with pytest.raises(ConfigurationError, match="nothing to recover"):
+            open_durable(tmp_path / "empty")
+        algo, state = open_durable(tmp_path / "st",
+                                   lambda: RobustBestFit(gamma=3))
+        try:
+            assert state is None
+            assert algo.gamma == 3 and algo.store is not None
+            assert json.loads((tmp_path / "st" / "meta.json")
+                              .read_text())["gamma"] == 3
+        finally:
+            algo.store.close()
 
 
 class TestObsIntegration:

@@ -1,12 +1,8 @@
-"""Unit tests for trace/placement serialization."""
+"""Unit tests for trace serialization."""
 
 import pytest
 
-from repro.core.cubefit import CubeFit
-from repro.core.tenant import Tenant, TenantSequence, make_tenants
-from repro.core.validation import audit
-from repro.workloads.trace_io import (load_placement, load_trace,
-                                      save_placement, save_trace)
+from repro.workloads.trace_io import load_trace, save_trace
 from repro.workloads.distributions import UniformLoad
 from repro.workloads.sequences import generate_sequence
 from repro.errors import ConfigurationError
@@ -51,45 +47,9 @@ class TestTraceRoundtrip:
             load_trace(tmp_path / "nope.json")
 
 
-class TestPlacementRoundtrip:
-    def test_roundtrip_preserves_assignment(self, sequence, tmp_path):
-        algo = CubeFit(gamma=2, num_classes=5)
-        algo.consolidate(sequence)
-        trace_path = tmp_path / "trace.json"
-        placement_path = tmp_path / "placement.json"
-        save_trace(sequence, trace_path)
-        save_placement(algo.placement, placement_path,
-                       algorithm="cubefit")
-        restored = load_placement(placement_path, load_trace(trace_path))
-        assert restored.snapshot() == algo.placement.snapshot()
-        assert restored.gamma == 2
-        # The reconstructed placement carries full shared-load state.
-        assert audit(restored).ok == audit(algo.placement).ok
-
-    def test_placement_with_unknown_tenant_rejected(self, sequence,
-                                                    tmp_path):
-        algo = CubeFit(gamma=2, num_classes=5)
-        algo.consolidate(sequence)
-        placement_path = tmp_path / "placement.json"
-        save_placement(algo.placement, placement_path)
-        truncated = TenantSequence(tenants=make_tenants([0.5]))
-        with pytest.raises(ConfigurationError):
-            load_placement(placement_path, truncated)
-
-    def test_replica_index_validation(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text(
-            '{"format": "repro-placement", "version": 1, "gamma": 2,'
-            ' "algorithm": "x", "servers": {"0": [[0, 0]], '
-            '"1": [[0, 0]]}}')
-        seq = TenantSequence(tenants=make_tenants([0.4]))
-        with pytest.raises(Exception):
-            load_placement(path, seq)
-
-
 class TestDuplicateTenantIds:
     """A duplicated tenant id would let every id-keyed consumer silently
-    pick one of the conflicting loads; both loaders must refuse."""
+    pick one of the conflicting loads; the trace loader must refuse."""
 
     def _write_trace(self, path, entries):
         import json
@@ -114,17 +74,6 @@ class TestDuplicateTenantIds:
                                  {"id": 7, "load": 0.1}])
         with pytest.raises(ConfigurationError, match=r"\[5, 7\]"):
             load_trace(path)
-
-    def test_load_placement_rejects_duplicate_trace_ids(self, tmp_path):
-        algo = CubeFit(gamma=2, num_classes=5)
-        clean = TenantSequence(tenants=make_tenants([0.3, 0.4]))
-        algo.consolidate(clean)
-        placement_path = tmp_path / "placement.json"
-        save_placement(algo.placement, placement_path)
-        duped = TenantSequence(
-            tenants=[Tenant(0, 0.3), Tenant(1, 0.4), Tenant(0, 0.9)])
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            load_placement(placement_path, duped)
 
     def test_unique_ids_still_load(self, tmp_path):
         path = tmp_path / "ok.json"

@@ -207,4 +207,4 @@ class TestIncrementalAuditor:
         auditor.check()
         auditor.close()
         ps.place_tenant(Tenant(0, 0.5), [0, 1])
-        assert auditor._tracker.peek() == set()
+        assert auditor._tracker._dirty == set()
