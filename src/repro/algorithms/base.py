@@ -14,7 +14,6 @@ down"* without scanning every server in Python.
 
 from __future__ import annotations
 
-import heapq
 import time
 from abc import ABC, abstractmethod
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
@@ -23,7 +22,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from .. import faults
-from ..core.placement import PlacementState
+from ..core.placement import PlacementState, worst_shared_sum
 from ..core.tenant import LOAD_EPS, Replica, Tenant
 from ..errors import ConfigurationError, FaultInjected
 from ..obs import LATENCY_BUCKETS
@@ -614,41 +613,6 @@ class ServerIndex:
         return None
 
 
-def worst_shared_sum(placement: PlacementState, server_id: int,
-                     failures: int,
-                     bumps: Optional[Dict[int, float]] = None,
-                     extra_partners: Sequence[float] = ()) -> float:
-    """Sum of the ``failures`` largest shared loads of ``server_id``.
-
-    ``bumps`` maps partner server ids to *additional* shared load that a
-    hypothetical placement would create; partners not yet in the shared
-    index are allowed.  ``extra_partners`` adds hypothetical *fresh*
-    partners with the given shared loads (used to anticipate sibling
-    replicas that have not been placed yet).  This is the primitive
-    behind the exact m-fit and RFI feasibility checks.
-
-    The bumps are merged into a copy of the live shared-load mapping:
-    existing partners are bumped in place, fresh ones follow in bump
-    order.  When every partner survives the cut the merged values are
-    summed in that order and the extras added as their own sum;
-    otherwise the top ``failures`` of the merged values and the extras
-    are summed in descending order.  Without bumps the mapping is read
-    in place, so an unbumped probe copies nothing.
-    """
-    shared: Dict[int, float] = placement.shared_partners_view(server_id)
-    if failures <= 0:
-        return 0.0
-    if bumps:
-        shared = dict(shared)
-        for other, extra in bumps.items():
-            if other != server_id:
-                shared[other] = shared.get(other, 0.0) + extra
-    values = shared.values()
-    if len(values) + len(extra_partners) <= failures:
-        return sum(values, 0.0) + sum(extra_partners)
-    return sum(heapq.nlargest(failures, [*values, *extra_partners]))
-
-
 def robust_after_placement(placement: PlacementState, server_id: int,
                            replica_load: float, chosen: Sequence[int],
                            failures: int, future_siblings: int = 0,
@@ -671,6 +635,9 @@ def robust_after_placement(placement: PlacementState, server_id: int,
     stage rolls the whole tenant back on any failure, so its final check
     sees all shares and it may pass 0.
 
+    Each server's top-f sum comes from
+    :func:`~repro.core.placement.worst_shared_sum`, which reads the live
+    shared-load mapping in place, so a probe builds no dict or list.
     ``obs`` (a :class:`~repro.obs.MetricsRegistry`) counts every call
     in the ``feasibility.exact`` counter.
     """
@@ -682,16 +649,15 @@ def robust_after_placement(placement: PlacementState, server_id: int,
     if obs is not None:
         obs.counter("feasibility.exact").inc()
     server = placement.server(server_id)
-    bumps = {c: replica_load for c in chosen}
-    future = [replica_load] * future_siblings
-    worst = worst_shared_sum(placement, server_id, failures, bumps, future)
+    worst = worst_shared_sum(placement, server_id, failures, chosen,
+                             replica_load, future_siblings)
     empty_after = server.capacity - server.load - replica_load
     if empty_after + LOAD_EPS < worst:
         return False
     for c in chosen:
         other = placement.server(c)
-        worst_c = worst_shared_sum(placement, c, failures,
-                                   {server_id: replica_load}, future)
+        worst_c = worst_shared_sum(placement, c, failures, (server_id,),
+                                   replica_load, future_siblings)
         if other.capacity - other.load + LOAD_EPS < worst_c:
             return False
     return True

@@ -409,7 +409,7 @@ def _run_serve(args: argparse.Namespace) -> None:
                       lambda _sig, _frm: server.request_shutdown())
     server.start()
     print(f"serving placements on {args.socket} "
-          f"(store {args.store}, gamma {args.gamma}, queue "
+          f"(store {args.store}, gamma {server.algorithm.gamma}, queue "
           f"{args.queue_size}, checkpoint every "
           f"{args.checkpoint_interval or 'never'}s)", flush=True)
     server.run()

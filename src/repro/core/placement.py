@@ -322,10 +322,10 @@ class PlacementState:
 
         The result aliases the internal index and mutates with the
         placement; callers must treat it as **read-only** and must not
-        hold it across mutations.  Hot paths
-        (:func:`~repro.algorithms.base.worst_shared_sum`) use this to
-        avoid one dict copy per feasibility probe; everything else
-        should prefer :meth:`shared_partners`.
+        hold it across mutations.  The top-f kernel
+        (:func:`worst_shared_sum`) reads it this way, so a feasibility
+        probe copies nothing; everything else should prefer
+        :meth:`shared_partners`.
         """
         try:
             return self._shared[server_id]
@@ -338,10 +338,11 @@ class PlacementState:
 
         This is the paper's worst case over failure sets: the sum of the
         ``failures`` largest shared loads of the server (defaults to
-        ``gamma - 1`` failures).  Memoized per ``(server, failures)``;
-        the cache entry is dropped whenever the server's load or
-        shared-load set changes, so serving a hit is O(1) and the cost
-        of a mutation is O(affected servers), not O(fleet).
+        ``gamma - 1`` failures), computed by :func:`worst_shared_sum`.
+        Memoized per ``(server, failures)``; the cache entry is dropped
+        whenever the server's load or shared-load set changes, so
+        serving a hit is O(1) and the cost of a mutation is
+        O(affected servers), not O(fleet).
         """
         f = self.gamma - 1 if failures is None else failures
         if f <= 0:
@@ -351,16 +352,8 @@ class PlacementState:
             per_server = self._wfl_cache[server_id] = {}
         value = per_server.get(f)
         if value is None:
-            value = per_server[f] = \
-                self._compute_worst_failover(server_id, f)
+            value = per_server[f] = worst_shared_sum(self, server_id, f)
         return value
-
-    def _compute_worst_failover(self, server_id: int, f: int) -> float:
-        """Top-``f`` sum over the server's shared-load partners."""
-        values = self._shared[server_id].values()
-        if len(values) <= f:
-            return sum(values)
-        return sum(heapq.nlargest(f, values))
 
     def utilization(self) -> float:
         """Mean load across non-empty servers (paper's 'average server
@@ -382,3 +375,79 @@ class PlacementState:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PlacementState(gamma={self.gamma}, "
                 f"servers={self.num_servers}, tenants={self.num_tenants})")
+
+
+def worst_shared_sum(placement: PlacementState, server_id: int,
+                     failures: int, bumped: Sequence[int] = (),
+                     load: float = 0.0, future: int = 0) -> float:
+    """Sum of the ``failures`` largest shared loads of ``server_id``.
+
+    It fills the :meth:`PlacementState.worst_failover_load` cache and
+    answers the exact feasibility probe
+    (:func:`~repro.algorithms.base.robust_after_placement`), which asks
+    what the sum would be after a hypothetical placement:
+
+    * ``bumped`` names distinct partner servers whose shared load grows
+      by ``load`` (partners not yet in the index are allowed;
+      ``server_id`` itself is ignored);
+    * ``future`` adds that many fresh partners of shared load ``load``
+      (sibling replicas that have not been placed yet).
+
+    The live shared-load mapping is read in place.  One or two failures
+    (gamma 2 and 3) take one pass that keeps the largest value or the
+    two largest and allocate nothing; a bumped partner's live entry is
+    skipped because its bumped value replaces it.  A larger budget
+    merges the bumps into a copy and sums ``heapq.nlargest``.  Each
+    path returns the same float as summing the merged top ``failures``
+    in descending order: a top-1 sum is one value and a two-term sum is
+    commutative.
+    """
+    shared = placement.shared_partners_view(server_id)
+    if failures <= 0:
+        return 0.0
+    if failures == 1:
+        worst = 0.0
+        for value in shared.values():
+            if value > worst:
+                worst = value
+        if future and load > worst:
+            worst = load
+        for other in bumped:
+            if other != server_id:
+                value = shared.get(other, 0.0) + load
+                if value > worst:
+                    worst = value
+        return worst
+    if failures == 2:
+        first = second = 0.0
+        for other, value in shared.items():
+            if value > second and other not in bumped:
+                if value > first:
+                    first, second = value, first
+                else:
+                    second = value
+        for other in bumped:
+            if other != server_id:
+                value = shared.get(other, 0.0) + load
+                if value > first:
+                    first, second = value, first
+                elif value > second:
+                    second = value
+        if future and load > second:
+            if load <= first:
+                second = load
+            elif future > 1:
+                first = second = load
+            else:
+                first, second = load, first
+        return first + second
+    if bumped:
+        shared = dict(shared)
+        for other in bumped:
+            if other != server_id:
+                shared[other] = shared.get(other, 0.0) + load
+    values = shared.values()
+    extras = [load] * future
+    if len(values) + future <= failures:
+        return sum(values, 0.0) + sum(extras)
+    return sum(heapq.nlargest(failures, [*values, *extras]))

@@ -72,7 +72,6 @@ class ShardController:
         self.shard_id = shard_id
         self.directory = Path(directory)
         self.max_servers = max_servers
-        self._obs = obs
         self.algorithm, self.recovered_state = open_durable(
             self.directory,
             lambda: RobustBestFit(gamma=gamma, failures=failures,

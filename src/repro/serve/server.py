@@ -292,11 +292,10 @@ class PlacementServer:
                 daemon=True))
         for thread in self._threads:
             thread.start()
-        if self._obs is not None:
-            self._obs.emit("serve_start",
-                           store=str(self.store_dir),
-                           socket=str(self.socket_path),
-                           warm=self._recovered_state is not None)
+        self._obs.emit("serve_start",
+                       store=str(self.store_dir),
+                       socket=str(self.socket_path),
+                       warm=self._recovered_state is not None)
 
     def run(self) -> None:
         """Block until shutdown is requested, then finish accordingly.
@@ -358,8 +357,7 @@ class PlacementServer:
                 self.socket_path.unlink()
             except OSError:
                 pass
-        if self._obs is not None:
-            self._obs.emit("serve_stop", crashed=self.crashed is not None)
+        self._obs.emit("serve_stop", crashed=self.crashed is not None)
 
     def _fatal_crash(self, err: SimulatedCrash) -> None:
         """Kill-9 semantics: die with nothing flushed beyond the WAL's
@@ -368,8 +366,7 @@ class PlacementServer:
         if self.crashed is not None:
             return
         self.crashed = err
-        if self._obs is not None:
-            self._obs.counter("serve.crashes").inc()
+        self._obs.counter("serve.crashes").inc()
         if self.config.crash_mode == "exit":
             os._exit(CRASH_EXIT_CODE)
         self._draining = True
@@ -430,15 +427,13 @@ class PlacementServer:
                 return
             except FaultInjected:
                 # The connection is dropped; the daemon keeps serving.
-                if self._obs is not None:
-                    self._obs.counter("serve.accept_dropped").inc()
+                self._obs.counter("serve.accept_dropped").inc()
                 sock.close()
                 continue
             conn = _Connection(sock, self.config.send_timeout)
             with self._conns_lock:
                 self._conns.append(conn)
-            if self._obs is not None:
-                self._obs.counter("serve.connections").inc()
+            self._obs.counter("serve.connections").inc()
             threading.Thread(target=self._handle, args=(conn,),
                              name="serve-handler", daemon=True).start()
 
@@ -450,8 +445,7 @@ class PlacementServer:
                 try:
                     line = read_frame(conn.reader, cfg.max_frame_bytes)
                 except ProtocolError as err:
-                    if obs is not None:
-                        obs.counter("serve.protocol_errors").inc()
+                    obs.counter("serve.protocol_errors").inc()
                     conn.send(encode_error(None, err))
                     continue
                 except (OSError, ValueError):
@@ -463,8 +457,7 @@ class PlacementServer:
                 try:
                     request = parse_request(line)
                 except ProtocolError as err:
-                    if obs is not None:
-                        obs.counter("serve.protocol_errors").inc()
+                    obs.counter("serve.protocol_errors").inc()
                     conn.send(encode_error(
                         getattr(err, "request_id", None), err))
                     continue
@@ -489,15 +482,13 @@ class PlacementServer:
                 try:
                     self._queue.put_nowait(_Job(request, conn))
                 except queue.Full:
-                    if obs is not None:
-                        obs.counter("serve.rejected.backpressure").inc()
+                    obs.counter("serve.rejected.backpressure").inc()
                     conn.send(encode_error(request.id, BackpressureError(
                         f"admission queue full "
                         f"({cfg.queue_size} requests)",
                         retry_after=cfg.retry_after)))
                     continue
-                if obs is not None:
-                    obs.counter("serve.admitted").inc()
+                obs.counter("serve.admitted").inc()
         finally:
             conn.close()
 
@@ -518,10 +509,9 @@ class PlacementServer:
             except Exception as err:  # typed ReproError or internal
                 if conn is not None:
                     conn.send(encode_error(request.id, err))
-                if self._obs is not None:
-                    kind = ("typed" if isinstance(err, ReproError)
-                            else "internal")
-                    self._obs.counter(f"serve.errors.{kind}").inc()
+                kind = ("typed" if isinstance(err, ReproError)
+                        else "internal")
+                self._obs.counter(f"serve.errors.{kind}").inc()
             else:
                 if conn is not None:
                     conn.send(encode_result(request.id, result))
@@ -538,8 +528,7 @@ class PlacementServer:
             except FaultInjected:
                 # This round's checkpoint is skipped; traffic continues
                 # and the next tick tries again.
-                if self._obs is not None:
-                    self._obs.counter("serve.checkpoint_skipped").inc()
+                self._obs.counter("serve.checkpoint_skipped").inc()
                 continue
             try:
                 self._queue.put_nowait(
@@ -547,8 +536,7 @@ class PlacementServer:
             except queue.Full:
                 # Under backpressure the maintenance job yields to
                 # traffic; the next tick retries.
-                if self._obs is not None:
-                    self._obs.counter("serve.checkpoint_deferred").inc()
+                self._obs.counter("serve.checkpoint_deferred").inc()
 
     # ------------------------------------------------------------------
     # Request execution (worker thread only)
@@ -579,8 +567,7 @@ class PlacementServer:
     def _do_checkpoint(self) -> Dict[str, object]:
         path, removed = self.store.checkpoint_and_compact(
             self.algorithm.placement)
-        if self._obs is not None:
-            self._obs.counter("serve.checkpoints").inc()
+        self._obs.counter("serve.checkpoints").inc()
         return {"checkpoint": str(path),
                 "wal_applied": self.store.wal.next_seq,
                 "segments_compacted": len(removed)}
@@ -610,8 +597,7 @@ class PlacementServer:
             "uptime_seconds": time.monotonic() - self._started_at,
             "draining": self._draining,
         }
-        if self._obs is not None:
-            stats["metrics"] = self._obs.snapshot()
+        stats["metrics"] = self._obs.snapshot()
         return stats
 
 

@@ -2,6 +2,7 @@
 
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -655,6 +656,36 @@ class TestServeCommands:
         assert "requires --store" in capsys.readouterr().err
         assert cli.main(["serve", "--store", "/tmp/x"]) == 1
         assert "requires --socket" in capsys.readouterr().err
+
+    def test_serve_prints_the_gamma_it_runs_at(self, tmp_path):
+        # A warm start adopts the gamma the store was created at, not
+        # the --gamma argument; the startup line names the one in force.
+        from repro.algorithms.naive import RobustBestFit
+        from repro.core.tenant import Tenant
+        from repro.store import open_durable
+
+        store = tmp_path / "store"
+        algorithm, _ = open_durable(store, lambda: RobustBestFit(gamma=3))
+        algorithm.place(Tenant(0, 0.3))
+        algorithm.store.close()
+        env = dict(os.environ)
+        parts = [str(Path(cli.__file__).resolve().parents[1])] + [
+            p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--store", str(store),
+             "--socket", str(tmp_path / "serve.sock"), "--gamma", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        try:
+            line = proc.stdout.readline()
+            while line and not line.startswith("serving placements on"):
+                line = proc.stdout.readline()  # e.g. the scale banner
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        assert "gamma 3," in line, (line, err)
+        assert proc.returncode == 0, err
 
     def test_serve_send_requires_socket(self, capsys):
         assert cli.main(["serve-send"]) == 1

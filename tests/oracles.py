@@ -15,6 +15,13 @@ exhaustive restatements of what the core computes incrementally.
   :func:`failover_load` (the paper's conservative accounting, under
   which it must agree with :func:`repro.core.validation.audit`) or
   :func:`exact_failover_load` (exact redistribution, never stricter).
+* **Top-f reference** — :func:`reference_worst_shared_sum` and
+  :func:`reference_worst_failover` are the two top-f sums the package
+  used before :func:`repro.core.placement.worst_shared_sum` replaced
+  them: the first merges a bump dict into a copy of the shared-load
+  mapping and sums ``heapq.nlargest`` of the merged values plus an
+  extras list, the second sums the unbumped top ``f``.  The kernel
+  must return the same float bits.
 * **Lemma 1** — :func:`shared_tenant_counts` and
   :func:`max_shared_tenants` count the tenants each pair of servers
   shares (at most one for pure second-stage CUBEFIT packings).
@@ -143,6 +150,46 @@ def failure_set_audit(placement, failures=None, failover=failover_load):
     if placement.num_servers == 0:
         report.min_slack = placement.capacity
     return report
+
+
+# ----------------------------------------------------------------------
+# Top-f reference
+# ----------------------------------------------------------------------
+def reference_worst_shared_sum(placement, server_id, failures, bumps=None,
+                               extra_partners=()):
+    """Sum of the ``failures`` largest shared loads of ``server_id``.
+
+    ``bumps`` maps partner server ids to *additional* shared load that a
+    hypothetical placement would create; partners not yet in the shared
+    index are allowed.  ``extra_partners`` adds hypothetical *fresh*
+    partners with the given shared loads.  The bumps are merged into a
+    copy of the live shared-load mapping: existing partners are bumped
+    in place, fresh ones follow in bump order.  When every partner
+    survives the cut the merged values are summed in that order and the
+    extras added as their own sum; otherwise the top ``failures`` of the
+    merged values and the extras are summed in descending order.
+    """
+    shared = placement.shared_partners_view(server_id)
+    if failures <= 0:
+        return 0.0
+    if bumps:
+        shared = dict(shared)
+        for other, extra in bumps.items():
+            if other != server_id:
+                shared[other] = shared.get(other, 0.0) + extra
+    values = shared.values()
+    if len(values) + len(extra_partners) <= failures:
+        return sum(values, 0.0) + sum(extra_partners)
+    return sum(heapq.nlargest(failures, [*values, *extra_partners]))
+
+
+def reference_worst_failover(placement, server_id, f):
+    """Top-``f`` sum over the server's shared-load partners (an int 0
+    when it has none)."""
+    values = placement.shared_partners_view(server_id).values()
+    if len(values) <= f:
+        return sum(values)
+    return sum(heapq.nlargest(f, values))
 
 
 # ----------------------------------------------------------------------

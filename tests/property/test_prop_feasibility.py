@@ -9,6 +9,13 @@ case ``future_siblings`` must anticipate, since no later check guards
 them) — and recomputes the slack of the probed server and of every
 server in ``chosen`` from the replica sets.  The two must agree on
 every input, and every call counts exactly one ``feasibility.exact``.
+
+Below the check sits one top-f kernel,
+:func:`~repro.core.placement.worst_shared_sum`, which reads the live
+shared-load mapping in place.  It must return the same float bits as
+the merge-and-``nlargest`` reference it replaced
+(:func:`tests.oracles.reference_worst_shared_sum`), and the failover
+cache it fills must match :func:`tests.oracles.reference_worst_failover`.
 """
 
 import copy
@@ -17,11 +24,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.base import robust_after_placement
-from repro.core.placement import PlacementState
+from repro.core.placement import PlacementState, worst_shared_sum
 from repro.core.tenant import LOAD_EPS, Replica, Tenant
 from repro.errors import CapacityError
 from repro.obs import MetricsRegistry
-from tests.oracles import naive_slack
+from tests.oracles import (naive_slack, reference_worst_failover,
+                           reference_worst_shared_sum)
 
 pytestmark = pytest.mark.usefixtures("checked_index")
 
@@ -122,3 +130,40 @@ def test_check_matches_placement_oracle(gamma, data):
             f"check diverged from placement: server={server_id} "
             f"load={replica_load!r} chosen={list(chosen)} f={failures} "
             f"check={decision} oracle={expected}")
+
+
+@given(gamma=st.integers(2, 4), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_reference_bit_for_bit(gamma, data):
+    ps = _random_placement(data, gamma)
+    ids = ps.server_ids
+    # Ids past the last server stand for partners that do not exist yet.
+    pool = ids + [ps.num_servers, ps.num_servers + 1]
+    shares = sorted({v for sid in ids
+                     for v in ps.shared_partners_view(sid).values()})
+    for sid in ids:
+        for f in range(5):
+            got = ps.worst_failover_load(sid, f)
+            want = float(reference_worst_failover(ps, sid, f))
+            assert type(got) is float
+            assert got.hex() == want.hex(), (sid, f, got, want)
+    for probe in range(data.draw(st.integers(1, 8), label="n_probes")):
+        server_id = data.draw(st.sampled_from(ids), label=f"sid[{probe}]")
+        failures = data.draw(st.integers(0, 4), label=f"f[{probe}]")
+        bumped = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                    max_size=4),
+                           label=f"bumped[{probe}]")
+        # Loads equal to a live share exercise ties in the top-f cut.
+        load = data.draw(st.floats(0.0, 0.8) | st.sampled_from(shares)
+                         if shares else st.floats(0.0, 0.8),
+                         label=f"load[{probe}]")
+        future = data.draw(st.integers(0, 3), label=f"future[{probe}]")
+        got = worst_shared_sum(ps, server_id, failures, bumped, load,
+                               future)
+        want = reference_worst_shared_sum(
+            ps, server_id, failures, {p: load for p in bumped},
+            [load] * future)
+        assert got.hex() == float(want).hex(), (
+            f"kernel diverged: server={server_id} f={failures} "
+            f"bumped={bumped} load={load!r} future={future} "
+            f"kernel={got!r} reference={want!r}")

@@ -56,28 +56,42 @@ class TestWorstSharedSum:
     def test_bumps_extend_existing_partner(self):
         ps = placed(gamma=2, servers=3)
         ps.place_tenant(Tenant(0, 0.4), [0, 1])
-        value = worst_shared_sum(ps, 0, failures=1, bumps={1: 0.1})
+        value = worst_shared_sum(ps, 0, failures=1, bumped=(1,),
+                                 load=0.1)
         assert value == pytest.approx(0.3)
 
     def test_bumps_add_new_partner(self):
         ps = placed(gamma=2, servers=3)
         ps.place_tenant(Tenant(0, 0.4), [0, 1])
-        value = worst_shared_sum(ps, 0, failures=1, bumps={2: 0.5})
+        value = worst_shared_sum(ps, 0, failures=1, bumped=(2,),
+                                 load=0.5)
         assert value == pytest.approx(0.5)
 
     def test_extra_partners_anticipate_future_siblings(self):
         ps = placed(gamma=2, servers=2)
-        value = worst_shared_sum(ps, 0, failures=1, extra_partners=[0.25])
+        value = worst_shared_sum(ps, 0, failures=1, load=0.25,
+                                 future=1)
         assert value == pytest.approx(0.25)
 
     def test_self_bump_ignored(self):
         ps = placed(gamma=2, servers=2)
-        assert worst_shared_sum(ps, 0, failures=1, bumps={0: 0.9}) == 0.0
+        assert worst_shared_sum(ps, 0, failures=1, bumped=(0,),
+                                load=0.9) == 0.0
 
     def test_zero_failures(self):
         ps = placed(gamma=2, servers=2)
         ps.place_tenant(Tenant(0, 0.4), [0, 1])
         assert worst_shared_sum(ps, 0, failures=0) == 0.0
+
+    def test_two_failures_do_not_double_count_a_bumped_partner(self):
+        # Server 0 shares 0.3 with server 1 and 0.2 with server 2.
+        # Bumping partner 1 by 0.1 replaces its 0.3 with 0.4, so the
+        # top two are 0.4 + 0.2; counting the stale 0.3 too gives 0.7.
+        ps = placed(gamma=2, servers=3)
+        ps.place_tenant(Tenant(0, 0.6), [0, 1])
+        ps.place_tenant(Tenant(1, 0.4), [0, 2])
+        value = worst_shared_sum(ps, 0, failures=2, bumped=(1,), load=0.1)
+        assert value == pytest.approx(0.6)
 
 
 class TestRobustAfterPlacement:

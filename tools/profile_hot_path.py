@@ -11,7 +11,9 @@ the pipeline's four phases:
   fullest-first selection scan;
 * ``exact``       — the exact feasibility probe
   (``robust_after_placement``) and the top-``f`` shared-load sums it
-  evaluates (``worst_shared_sum``);
+  evaluates (``worst_shared_sum``; the same kernel fills the
+  worst-failover cache that ``sync`` reads, and its self time lands
+  here too);
 * ``bookkeeping`` — placement mutation itself (``place``, server
   add, shared-load index updates, cache invalidation).
 
@@ -58,7 +60,7 @@ PHASE_PATTERNS = (
         ("base.py", "select"),
     )),
     ("exact", (
-        ("base.py", "worst_shared_sum"),
+        ("placement.py", "worst_shared_sum"),
         ("base.py", "robust_after_placement"),
         ("naive.py", "_feasible"),
     )),
